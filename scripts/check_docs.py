@@ -10,8 +10,7 @@ AST-based rules in ``repro.check`` (docs/LINTING.md):
   resolves to an existing file;
 * ``package-doc-link`` — every ``src/repro`` package ``__init__``
   docstring names an existing documentation page, so a stale or
-  missing doc reference fails tier-1 (docs/KERNELS.md grew out of
-  this workflow).
+  missing doc reference fails tier-1.
 
 This entry point remains for muscle memory and CI wiring
 (``tests/test_docs.py``); it is equivalent to::

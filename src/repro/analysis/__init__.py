@@ -1,8 +1,8 @@
 """Experiment harness: one runner per paper table/figure + rendering.
 
-The CLI surface (``run``/``trace``/``lint``/``bench`` subcommands) is
-documented in docs/RUNNER.md; the shipped numbers live in
-EXPERIMENTS.md.
+The CLI surface (``run``/``trace``/``lint``/``index``/``compare``
+subcommands) is documented in docs/RUNNER.md; the shipped numbers live
+in EXPERIMENTS.md.
 """
 
 from .experiments import (

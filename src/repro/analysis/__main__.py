@@ -36,14 +36,6 @@ checks over the tree and exits nonzero on any error finding::
     python -m repro.analysis lint --jobs 4
     python -m repro.analysis lint --rules stats-emit,emit-registered
 
-The ``bench`` subcommand (docs/KERNELS.md) micro-benchmarks the numpy
-batch kernels against the scalar compressors, verifies byte equality,
-and records the throughput trajectory in ``BENCH_kernels.json``::
-
-    python -m repro.analysis bench
-    python -m repro.analysis bench --quick --no-journal
-    python -m repro.analysis bench --algorithms bdi,bpc --force
-
 The ``index`` and ``compare`` subcommands (docs/RESULTS.md) maintain
 the cross-run SQLite results index and the statistical regression
 gate over it::
@@ -52,11 +44,6 @@ gate over it::
     python -m repro.analysis index --runs
     python -m repro.analysis compare RUN_A RUN_B
     python -m repro.analysis run --seeds 5 --filter fig4
-
-The ``pressure`` subcommand (docs/PRESSURE.md) runs the overload
-campaign directly and asserts its headline claims::
-
-    python -m repro.analysis pressure --strict
 
 A missing or unknown subcommand prints a usage line listing the
 subcommands and exits 2.  Results render as the same rows/series the
@@ -92,6 +79,7 @@ from . import (
     run_tab2,
 )
 from ..runner import ResultCache, RunJournal, Runner, timing_table
+from ..simulation.configs import SYSTEM_ORDER
 
 RUNNERS = {
     "fig2": run_fig2,
@@ -191,6 +179,8 @@ def _run_command(argv) -> int:
         parser.error("--retries must be non-negative")
     if args.timeout is not None and args.timeout <= 0:
         parser.error("--timeout must be positive")
+    if args.trace_window is not None and args.trace_window < 1:
+        parser.error("--trace-window must be at least 1")
     if args.inject:
         from ..inject import parse_fault_spec
         try:
@@ -228,7 +218,7 @@ def _run_command(argv) -> int:
                     retries=args.retries,
                     strict=not (args.timeout or args.retries))
     scale = SCALES[args.scale]
-    if args.trace_window:
+    if args.trace_window is not None:
         scale = dataclasses.replace(scale, trace_window=args.trace_window)
     sanitize = args.sanitize
     if args.inject and sanitize is None:
@@ -275,7 +265,8 @@ def _trace_command(argv) -> int:
                         metavar="PATTERN",
                         help="only benchmarks whose name contains PATTERN "
                              "(repeatable; default: gcc)")
-    parser.add_argument("--system", default="compresso",
+    parser.add_argument("--system", choices=SYSTEM_ORDER,
+                        default="compresso",
                         help="system configuration to trace "
                              "(default: compresso)")
     parser.add_argument("--scale", choices=sorted(SCALES), default="quick",
@@ -294,6 +285,8 @@ def _trace_command(argv) -> int:
     args = parser.parse_args(argv)
     if args.window <= 0:
         parser.error("--window must be positive")
+    if args.events is not None and args.events < 1:
+        parser.error("--events must be at least 1")
 
     from ..obs import (
         Tracer,
@@ -313,7 +306,8 @@ def _trace_command(argv) -> int:
                      f"known: {sorted(PROFILES)}")
 
     scale = SCALES[args.scale]
-    sim = scale.sim(**({"n_events": args.events} if args.events else {}))
+    sim = scale.sim(**({"n_events": args.events}
+                       if args.events is not None else {}))
 
     def _suffixed(path: str, name: str) -> Path:
         base = Path(path)
@@ -412,101 +406,6 @@ def _lint_command(argv) -> int:
     return report.exit_code
 
 
-# reprolint: disable=determinism-taint -- elapsed wall-clock is printed to the console only; campaign stats run on the simulated clock
-def _pressure_command(argv) -> int:
-    """Run the overload campaign directly and assert its headline claims."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis pressure",
-        description="Multi-tenant overload campaign: admission control, "
-                    "degradation ladder, recovery drills "
-                    "(docs/PRESSURE.md).",
-    )
-    parser.add_argument("--spec", action="append", default=[],
-                        metavar="SPEC",
-                        help="campaign cell spec scenario:intensity"
-                             "[:tenants] (repeatable; default: the full "
-                             "scenario x intensity sweep)")
-    parser.add_argument("--allocation", choices=("chunks", "variable",
-                                                 "both"),
-                        default="both",
-                        help="allocation scheme(s) to sweep "
-                             "(default: both)")
-    parser.add_argument("--steps", type=int, default=160, metavar="N",
-                        help="driver steps per cell (default: 160)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="campaign seed (default: 0)")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit non-zero unless every resilience claim "
-                             "holds (zero escaped OOM, zero unreconciled, "
-                             "every cell recovered)")
-    args = parser.parse_args(argv)
-    if args.steps < 2:
-        parser.error("--steps must be at least 2")
-
-    from ..pressure import (PressureCampaign, parse_pressure_spec,
-                            pressure_cell)
-    allocations = (("chunks", "variable") if args.allocation == "both"
-                   else (args.allocation,))
-    started = time.time()
-    if args.spec:
-        cells = []
-        for spec in args.spec:
-            try:
-                scenario, intensity, tenants = parse_pressure_spec(spec)
-            except ValueError as exc:
-                parser.error(str(exc))
-            for allocation in allocations:
-                cells.append(pressure_cell(
-                    scenario, intensity, allocation=allocation,
-                    seed=args.seed, n_tenants=tenants,
-                    n_steps=args.steps))
-        oom_escaped = sum(cell.oom_escaped for cell in cells)
-        unreconciled = sum(len(cell.unreconciled) for cell in cells)
-        all_recovered = all(cell.recovered for cell in cells)
-    else:
-        campaign = PressureCampaign(allocations=allocations,
-                                    seed=args.seed, n_steps=args.steps)
-        cells = campaign.run()
-        oom_escaped = campaign.oom_escaped
-        unreconciled = campaign.unreconciled
-        all_recovered = campaign.all_recovered
-
-    from .report import ExperimentResult
-    result = ExperimentResult(
-        experiment_id="pressure",
-        title="Pressure campaign: multi-tenant overload control and "
-              "recovery",
-        columns=["scenario", "intensity", "allocation", "requests",
-                 "throttled", "shed", "denied", "oom_absorbed",
-                 "page_outs", "escalations", "degraded_enters",
-                 "degraded_exits", "oom_escaped", "recovered",
-                 "unreconciled", "jain_fairness", "stall_p95",
-                 "stall_p99"],
-    )
-    for cell in cells:
-        row = cell.as_row()
-        row.pop("admitted", None)
-        result.add_row(**row)
-    print(render(result))
-    for cell in cells:
-        for problem in cell.unreconciled:
-            print(f"UNRECONCILED {cell.scenario}@{cell.intensity}/"
-                  f"{cell.allocation}: {problem}")
-    print(f"cells: {len(cells)}  oom_escaped: {oom_escaped}  "
-          f"unreconciled: {unreconciled}  "
-          f"all_recovered: {all_recovered}  "
-          f"[{time.time() - started:.1f}s]")
-    ok = oom_escaped == 0 and unreconciled == 0 and all_recovered
-    if args.strict and not ok:
-        return 1
-    return 0
-
-
-def _bench_command(argv) -> int:
-    from .bench import main as bench_main
-    return bench_main(argv)
-
-
 def _index_command(argv) -> int:
     from ..results.cli import index_main
     return index_main(argv)
@@ -521,8 +420,6 @@ COMMANDS = {
     "run": _run_command,
     "trace": _trace_command,
     "lint": _lint_command,
-    "bench": _bench_command,
-    "pressure": _pressure_command,
     "index": _index_command,
     "compare": _compare_command,
 }

@@ -964,9 +964,7 @@ def run_pressure(scale: ExperimentScale = DEFAULT,
          for intensity in PRESSURE_INTENSITIES
          for allocation in PRESSURE_ALLOCATIONS])
     for output in outputs:
-        row = dict(output["row"])
-        row.pop("admitted", None)
-        result.add_row(**row)
+        result.add_row(**output["row"])
     result.summary["oom_escaped"] = sum(
         row["oom_escaped"] for row in result.rows)
     result.summary["unreconciled"] = sum(

@@ -21,13 +21,12 @@ from .rules import ModuleSource, ProjectRule, Rule, dotted_name, register
 #: reads or unseeded randomness here would break run reproducibility
 #: and content-addressed result caching.
 HOT_PATH_DIRS = ("src/repro/core", "src/repro/memory", "src/repro/compression",
-                 "src/repro/compression/vector", "src/repro/pressure")
+                 "src/repro/pressure")
 
 #: Markdown files whose relative links must resolve.
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/RUNNER.md",
         "docs/OBSERVABILITY.md", "docs/LINTING.md", "docs/ROBUSTNESS.md",
-        "docs/KERNELS.md", "docs/RESULTS.md", "docs/PRESSURE.md",
-        "docs/FLOWCHECK.md")
+        "docs/RESULTS.md", "docs/PRESSURE.md", "docs/FLOWCHECK.md")
 
 #: (module path, class name) pairs whose public fields must be named in
 #: the documentation set scanned by ``config-knob-documented``.
@@ -184,7 +183,7 @@ class HotPathWallClockRule(Rule):
     id = "hot-path-wallclock"
     severity = "error"
     description = ("no time.*/random.* calls inside core/, memory/, "
-                   "compression/ (incl. vector/), pressure/ hot paths")
+                   "compression/, pressure/ hot paths")
 
     #: Call-name prefixes that read the wall clock or global RNG state.
     BANNED = ("time.", "random.", "np.random.", "numpy.random.", "datetime.")

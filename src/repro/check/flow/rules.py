@@ -5,7 +5,7 @@ once per ``lint --deep`` pass against a shared :class:`FlowProgram`
 instead of once per file:
 
 * ``determinism-taint`` — nondeterminism sources must not reach the
-  journal / metrics / bench / results sinks except through an
+  journal / metrics / results sinks except through an
   annotated boundary.  A finding lands on the *deepest meet*: the
   function where source-reach and sink-reach first combine, so one
   tainted helper does not splatter findings over every caller.
@@ -54,14 +54,6 @@ SINK_CALL_QUALS: Dict[str, str] = {
     "repro.runner.journal.RunJournal.event": "RunJournal.event",
     "repro.results.index.ResultsIndex.ingest_journal":
         "ResultsIndex.ingest_journal",
-    "repro.results.index.ResultsIndex.ingest_bench_file":
-        "ResultsIndex.ingest_bench_file",
-}
-
-#: Functions that ARE sinks (they serialize results themselves).
-SINK_SELF_QUALS: Dict[str, str] = {
-    "repro.analysis.bench.main": "BENCH_kernels.json writer",
-    "repro.analysis.bench.run_bench": "bench result assembly",
 }
 
 #: Receiver names / type treated as the ControllerStats metrics sink.
@@ -98,7 +90,7 @@ class DeterminismTaintRule(FlowRule):
     severity = "error"
     description = ("nondeterminism sources (wall clock, unseeded RNG, "
                    "identity ordering, set iteration) must not flow into "
-                   "journal/metrics/bench/results sinks except through a "
+                   "journal/metrics/results sinks except through a "
                    "# flowcheck: boundary")
 
     def check_flow(self, program: FlowProgram) -> Iterable[Finding]:
@@ -176,8 +168,6 @@ class DeterminismTaintRule(FlowRule):
                         or base_leaf in STATS_RECEIVERS):
                     labels.add(f"ControllerStats.{store.attr}")
                     lines.setdefault(qual, store.line)
-            if qual in SINK_SELF_QUALS:
-                labels.add(SINK_SELF_QUALS[qual])
             if labels:
                 out[qual] = labels
         return out, lines

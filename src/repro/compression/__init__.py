@@ -2,10 +2,7 @@
 
 The Compresso paper's compressor is a modified Bit-Plane Compression
 (:class:`BPCCompressor`); BDI, FPC, C-Pack and LZ are implemented for
-the algorithm comparisons in its §II-A and Fig. 2.  The scalar
-compressors here are the reference semantics; :mod:`.vector` holds
-numpy batch kernels that reproduce them byte-for-byte at array speed
-(docs/KERNELS.md).
+the algorithm comparisons in its §II-A and Fig. 2 (DESIGN.md §1.2).
 """
 
 from .base import LINE_SIZE, CompressedLine, Compressor
@@ -16,12 +13,6 @@ from .cpack import CPackCompressor
 from .fpc import FPCCompressor
 from .lz import LZCompressor
 from .selector import BestOfCompressor, available_algorithms, make_compressor
-from .vector import (
-    BatchCompressor,
-    batch_compressor_for,
-    make_batch_compressor,
-    vectorized_algorithms,
-)
 from .zero import ZeroCompressor, is_zero_line
 
 __all__ = [
@@ -30,7 +21,6 @@ __all__ = [
     "Compressor",
     "BDICompressor",
     "BPCCompressor",
-    "BatchCompressor",
     "BestOfCompressor",
     "BitReader",
     "BitWriter",
@@ -40,10 +30,7 @@ __all__ = [
     "LZCompressor",
     "ZeroCompressor",
     "available_algorithms",
-    "batch_compressor_for",
     "compression_ratio",
     "is_zero_line",
-    "make_batch_compressor",
     "make_compressor",
-    "vectorized_algorithms",
 ]

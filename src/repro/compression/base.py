@@ -67,15 +67,6 @@ class Compressor(abc.ABC):
     def decompress(self, line: CompressedLine) -> bytes:
         """Invert :meth:`compress` exactly."""
 
-    def batch_compress(self, lines) -> list:
-        """Compress N lines; element i equals ``compress(lines[i])``.
-
-        The default is a scalar loop; :class:`BestOfCompressor` and the
-        :mod:`repro.compression.vector` kernels override this with a
-        numpy fast path (docs/KERNELS.md).
-        """
-        return [self.compress(bytes(line)) for line in lines]
-
     def compressed_size_bits(self, data: bytes) -> int:
         """Convenience wrapper returning only the encoded size."""
         return self.compress(data).size_bits

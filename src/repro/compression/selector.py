@@ -8,7 +8,7 @@ constructors so configurations can name their compressor.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from .base import CompressedLine, Compressor, LINE_SIZE
 from .bdi import BDICompressor
@@ -46,45 +46,6 @@ class BestOfCompressor(Compressor):
             (child.compress(data) for child in self.children),
             key=lambda line: line.size_bits,
         )
-
-    def batch_compress(self, lines) -> List[CompressedLine]:
-        """Vector fast path: pick each line's winner from batch sizes.
-
-        Per-child encoded sizes come from the numpy kernels
-        (docs/KERNELS.md) where available, so the expensive payload
-        assembly runs only for each line's winning child.  ``argmin``
-        keeps the first child on ties, matching :meth:`compress`'s
-        ``min`` semantics, so outputs are byte-identical to the scalar
-        path.
-        """
-        import numpy as np
-
-        from .vector.batch import batch_compressor_for
-
-        lines = [bytes(line) for line in lines]
-        batches = []
-        sizes = []
-        for child in self.children:
-            batch = batch_compressor_for(child)
-            batches.append(batch)
-            if batch is not None:
-                sizes.append(np.asarray(batch.batch_size_bits(lines)))
-            else:
-                sizes.append(np.array(
-                    [child.compress(line).size_bits for line in lines],
-                    dtype=np.int64))
-        winner = np.argmin(np.stack(sizes, axis=0), axis=0)
-        out: List[Optional[CompressedLine]] = [None] * len(lines)
-        for c, (child, batch) in enumerate(zip(self.children, batches)):
-            rows = np.flatnonzero(winner == c)
-            if not rows.size:
-                continue
-            subset = [lines[i] for i in rows.tolist()]
-            encoded = (batch.batch_compress(subset) if batch is not None
-                       else [child.compress(line) for line in subset])
-            for i, line in zip(rows.tolist(), encoded):
-                out[i] = line
-        return out  # type: ignore[return-value]
 
     def decompress(self, line: CompressedLine) -> bytes:
         child = self._by_name.get(line.algorithm)

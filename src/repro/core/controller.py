@@ -401,46 +401,6 @@ class CompressedMemoryController:
             self._deny_allocation(page, state)
         self._sanitize_op(page)
 
-    def prime_size_cache(self, lines) -> int:
-        """Batch-prime the shared compressed-size cache (docs/KERNELS.md).
-
-        The demand paths compute one line's compressed size at a time
-        through :class:`_SizeCache`; a simulation that already knows
-        its working set can instead push every distinct line through
-        the vector kernels' sizes-only fast path in one call.  Stores
-        exactly what the demand path would (``min(size_bytes,
-        line_size)``), so behaviour and statistics are unchanged — only
-        wall-clock improves.  Returns the number of entries added.
-        """
-        cache = _SizeCache._shared
-        key = self._sizes._key
-        todo: List[bytes] = []
-        seen = set()
-        for line in lines:
-            data = bytes(line)
-            if is_zero_line(data) or data in seen or (key, data) in cache:
-                continue
-            seen.add(data)
-            todo.append(data)
-        if not todo:
-            return 0
-        from ..compression.vector.batch import batch_compressor_for
-
-        batch = batch_compressor_for(self.compressor)
-        if batch is not None:
-            sizes = ((batch.batch_size_bits(todo) + 7) // 8).tolist()
-        else:
-            # best-of compressors route through their own batch fast
-            # path; anything else degrades to the scalar loop.
-            sizes = [line.size_bytes
-                     for line in self.compressor.batch_compress(todo)]
-        for data, size in zip(todo, sizes):
-            cache[(key, data)] = min(int(size), len(data))
-            cache.move_to_end((key, data))
-        while len(cache) > _SizeCache._MAX:
-            cache.popitem(last=False)
-        return len(todo)
-
     def compression_ratio(self) -> float:
         """Effective compression: OSPA bytes stored / MPA bytes used."""
         stored = used = 0

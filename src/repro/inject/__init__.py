@@ -1,14 +1,14 @@
 """Fault injection and recovery campaigns (docs/ROBUSTNESS.md).
 
 Deterministic, seedable corruption of the compressed-memory model's
-internal structures, plus the campaign driver that reconciles injected
+internal structures, plus the campaign cell that reconciles injected
 faults against the detection (``fault_*``) and recovery
-(``recovery_*``) trace events.
+(``recovery_*``) trace events.  The sweep over sites and rates is
+``python -m repro.analysis run --filter faults``.
 """
 
 from .campaign import (
     CellOutcome,
-    FaultCampaign,
     campaign_cell,
     matches,
     reconcile,
@@ -28,7 +28,6 @@ __all__ = [
     "FaultSpec",
     "parse_fault_spec",
     "CellOutcome",
-    "FaultCampaign",
     "campaign_cell",
     "matches",
     "reconcile",

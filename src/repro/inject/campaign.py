@@ -1,4 +1,4 @@
-"""Fault campaigns: sweep fault sites x rates, reconcile outcomes.
+"""Fault-campaign cells: inject, simulate, reconcile outcomes.
 
 A campaign cell runs one cycle-based simulation with a seeded
 :class:`~repro.inject.FaultInjector` and ``sanitize="recover"``, then
@@ -25,12 +25,12 @@ Outcome classes per fault:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..obs import Tracer
 from ..simulation.simulator import SimulationConfig, simulate
 from ..workloads.profiles import get_profile
-from .faults import SITES, FaultInjector, FaultRecord, FaultSpec
+from .faults import FaultInjector, FaultRecord, FaultSpec
 
 #: Event names that count as *detection*, per fault site.
 _DETECT = {
@@ -131,61 +131,21 @@ def reconcile(records: Sequence[FaultRecord], events) -> CellOutcome:
 
 
 def campaign_cell(site: str, rate: float, benchmark: str = "gcc",
-                  system: str = "compresso", seed: int = 0,
-                  n_events: int = 2000, scale: float = 0.05,
-                  burst: int = 1) -> CellOutcome:
-    """Run one fault-injection simulation and reconcile its records."""
+                  seed: int = 0, n_events: int = 2000,
+                  scale: float = 0.05) -> CellOutcome:
+    """Run one Compresso fault-injection simulation and reconcile it.
+
+    One cell of ``python -m repro.analysis run --filter faults``
+    (docs/ROBUSTNESS.md), which sweeps sites x rates and requires
+    ``silent == 0`` in every cell.
+    """
     tracer = Tracer()
-    injector = FaultInjector(FaultSpec(site, rate, burst), seed=seed)
+    injector = FaultInjector(FaultSpec(site, rate), seed=seed)
     sim = SimulationConfig(n_events=n_events, scale=scale, seed=seed,
                            sanitize="recover")
-    simulate(get_profile(benchmark), system, sim, tracer=tracer,
+    simulate(get_profile(benchmark), "compresso", sim, tracer=tracer,
              injector=injector)
     outcome = reconcile(injector.records, tracer.events)
     outcome.site = site
     outcome.rate = rate
     return outcome
-
-
-class FaultCampaign:
-    """Sweep fault sites x rates; report per-cell outcome counts.
-
-    The driver behind ``python -m repro.analysis run --filter faults``:
-    every cell must end with ``silent == 0`` — detection coverage is
-    the deliverable, not performance.
-    """
-
-    def __init__(self, sites: Sequence[str] = _CORRUPTION_SITES
-                 + ("alloc-exhaust",),
-                 rates: Sequence[float] = (0.005, 0.02),
-                 benchmark: str = "gcc", system: str = "compresso",
-                 seed: int = 0, n_events: int = 2000,
-                 scale: float = 0.05) -> None:
-        unknown = [site for site in sites if site not in SITES]
-        if unknown:
-            raise ValueError(f"unknown fault sites: {unknown}")
-        self.sites = tuple(sites)
-        self.rates = tuple(rates)
-        self.benchmark = benchmark
-        self.system = system
-        self.seed = seed
-        self.n_events = n_events
-        self.scale = scale
-        self.cells: List[CellOutcome] = []
-
-    def run(self) -> List[CellOutcome]:
-        """Run every (site, rate) cell; cells are cached on the instance."""
-        self.cells = [
-            campaign_cell(site, rate, benchmark=self.benchmark,
-                          system=self.system, seed=self.seed,
-                          n_events=self.n_events, scale=self.scale)
-            for site in self.sites for rate in self.rates
-        ]
-        return self.cells
-
-    @property
-    def silent_corruptions(self) -> int:
-        return sum(cell.silent for cell in self.cells)
-
-    def rows(self) -> List[Dict[str, object]]:
-        return [cell.as_row() for cell in self.cells]

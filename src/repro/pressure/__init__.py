@@ -13,15 +13,16 @@ package makes that ladder a tested, multi-tenant subsystem:
   degradation ladder runs balloon → emergency repack → degraded mode
   → per-tenant page-out, every transition traced via registered
   ``obs`` events.
-* :class:`PressureCampaign` sweeps overload scenarios (compressibility
+* :func:`pressure_cell` drives one overload scenario (compressibility
   collapse, tenant stampedes, diurnal bursts — see
-  :mod:`repro.workloads.bursts`) across intensities and allocation
-  schemes, reconciling shed/denied/recovery counts against the trace
-  with zero silent drops, and asserting the node always exits degraded
-  mode once pressure recedes.
+  :mod:`repro.workloads.bursts`), reconciling shed/denied/recovery
+  counts against the trace with zero silent drops, and checking the
+  node exits degraded mode once pressure recedes.  The sweep across
+  intensities and allocation schemes is
+  ``python -m repro.analysis run --filter pressure``.
 
-See docs/PRESSURE.md for the ladder states, the knob reference, the
-campaign spec grammar and the fairness metrics.
+See docs/PRESSURE.md for the ladder states, the knob reference and
+the fairness metrics.
 """
 
 from .controller import (
@@ -36,24 +37,13 @@ from .controller import (
     TokenBucket,
     jain_index,
 )
-from .campaign import (
-    PRESSURE_INTENSITIES,
-    PRESSURE_SCENARIOS,
-    PressureCampaign,
-    PressureCellOutcome,
-    parse_pressure_spec,
-    pressure_cell,
-    run_recovery_drill,
-)
+from .campaign import PressureCellOutcome, pressure_cell, run_recovery_drill
 
 __all__ = [
-    "PRESSURE_INTENSITIES",
-    "PRESSURE_SCENARIOS",
     "PRIORITY_BEST_EFFORT",
     "PRIORITY_CRITICAL",
     "PRIORITY_STANDARD",
     "STALL_BOUNDS",
-    "PressureCampaign",
     "PressureCellOutcome",
     "PressureConfig",
     "PressureController",
@@ -61,7 +51,6 @@ __all__ = [
     "TenantSpec",
     "TokenBucket",
     "jain_index",
-    "parse_pressure_spec",
     "pressure_cell",
     "run_recovery_drill",
 ]

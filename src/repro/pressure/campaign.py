@@ -1,4 +1,4 @@
-"""Pressure campaigns: sweep overload scenarios, reconcile, drill.
+"""Pressure-campaign cells: drive an overload scenario, reconcile, drill.
 
 A campaign cell builds a small compressed-memory node (tight
 :class:`~repro.memory.physical.MemoryGeometry`, balloon attached),
@@ -7,9 +7,10 @@ puts three priority-classed tenants behind a
 them with one :class:`~repro.workloads.bursts.BurstSchedule` overload
 scenario.  After the burst recedes the cell runs a **recovery drill**
 (:func:`run_recovery_drill`): tenants release their transient pages,
-the balloon deflates, and the node must exit degraded mode — the
-headline resilience claims (docs/PRESSURE.md) are that across the
-whole sweep
+the balloon deflates, and the node must exit degraded mode.  The sweep
+over scenarios x intensities x allocation schemes is
+``python -m repro.analysis run --filter pressure``; its headline
+resilience claims (docs/PRESSURE.md) are that across the whole sweep
 
 * zero :class:`~repro.memory.allocator.OutOfMemoryError` escape the
   pressure layer,
@@ -18,11 +19,6 @@ whole sweep
 * every cell that entered degraded mode exits it once pressure
   recedes.
 
-Campaign spec grammar (CLI / test filters):
-``scenario:intensity[:tenant-count]`` — e.g. ``collapse:1.5`` or
-``stampede:2.0:3``; scenario names come from
-:data:`~repro.workloads.bursts.BURST_SHAPES`.
-
 Cells are seeded and wallclock-free, so they are content-addressable
 by the runner cache like every other experiment unit.
 """
@@ -30,7 +26,7 @@ by the runner cache like every other experiment unit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -44,7 +40,7 @@ from ..memory.physical import MemoryGeometry
 from ..obs import Tracer
 from ..osmodel.cgroups import StaticBudget
 from ..osmodel.vm import VirtualMemory
-from ..workloads.bursts import BURST_SHAPES, BurstSchedule
+from ..workloads.bursts import BurstSchedule
 from ..workloads.datagen import LineClass, make_line
 from .controller import (
     PRIORITY_BEST_EFFORT,
@@ -54,10 +50,6 @@ from .controller import (
     PressureController,
     TenantSpec,
 )
-
-#: Default campaign sweep axes (>= 3 scenarios x >= 3 intensities).
-PRESSURE_SCENARIOS = BURST_SHAPES
-PRESSURE_INTENSITIES = (0.5, 1.0, 2.0)
 
 #: Installed machine-memory pages for a campaign cell: small enough
 #: that three tenants' working sets overwhelm it once compressibility
@@ -80,35 +72,6 @@ _TENANT_ROSTER = (
 #: while steady-state traffic passes untouched.
 _CELL_PRESSURE = PressureConfig(admission_rate=16.0, admission_burst=40,
                                 max_degraded_clock=64)
-
-
-def parse_pressure_spec(spec: str) -> Tuple[str, float, int]:
-    """Parse ``scenario:intensity[:tenants]`` into its parts."""
-    parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        raise ValueError(
-            f"bad pressure spec {spec!r}; want scenario:intensity[:tenants]")
-    scenario = parts[0]
-    if scenario not in BURST_SHAPES:
-        raise ValueError(
-            f"unknown scenario {scenario!r}; known: {BURST_SHAPES}")
-    try:
-        intensity = float(parts[1])
-    except ValueError:
-        raise ValueError(f"bad intensity in pressure spec {spec!r}") from None
-    if intensity <= 0:
-        raise ValueError("pressure intensity must be positive")
-    tenants = len(_TENANT_ROSTER)
-    if len(parts) == 3:
-        try:
-            tenants = int(parts[2])
-        except ValueError:
-            raise ValueError(
-                f"bad tenant count in pressure spec {spec!r}") from None
-        if not 1 <= tenants <= len(_TENANT_ROSTER):
-            raise ValueError(
-                f"tenant count must be 1..{len(_TENANT_ROSTER)}")
-    return scenario, intensity, tenants
 
 
 @dataclass
@@ -135,7 +98,6 @@ class PressureCellOutcome:
             "intensity": self.intensity,
             "allocation": self.allocation,
             "requests": int(metrics.get("requests", 0)),
-            "admitted": int(metrics.get("admitted", 0)),
             "throttled": int(metrics.get("throttled", 0)),
             "shed": int(metrics.get("shed", 0)),
             "denied": int(metrics.get("denied", 0)),
@@ -225,14 +187,9 @@ def run_recovery_drill(pressure: PressureController,
 
 def pressure_cell(scenario: str, intensity: float,
                   allocation: str = "chunks", seed: int = 0,
-                  n_tenants: int = len(_TENANT_ROSTER),
-                  n_steps: int = 160,
-                  config: Optional[PressureConfig] = None
-                  ) -> PressureCellOutcome:
+                  n_steps: int = 160) -> PressureCellOutcome:
     """Run one overload scenario against a small multi-tenant node."""
     schedule = BurstSchedule(scenario, intensity)
-    if config is None:
-        config = _CELL_PRESSURE
     outcome = PressureCellOutcome(scenario=scenario, intensity=intensity,
                                   allocation=allocation, seed=seed)
     tracer = Tracer()
@@ -242,12 +199,11 @@ def pressure_cell(scenario: str, intensity: float,
         compresso_config(allocation=allocation), geometry, tracer=tracer)
     vm = VirtualMemory(total_pages=geometry.ospa_pages)
     balloon = BalloonDriver(controller, vm, safety_chunks=8)
-    roster = _TENANT_ROSTER[:max(1, min(n_tenants, len(_TENANT_ROSTER)))]
     specs = [TenantSpec(name=name, budget=StaticBudget(budget),
                         priority=priority)
-             for name, priority, budget, _, _ in roster]
+             for name, priority, budget, _, _ in _TENANT_ROSTER]
     pressure = PressureController(controller, specs, balloon=balloon,
-                                  config=config)
+                                  config=_CELL_PRESSURE)
     rng = np.random.RandomState(
         stable_seed("pressure", scenario, allocation, seed))
     lines_per_page = controller.config.lines_per_page
@@ -279,7 +235,7 @@ def pressure_cell(scenario: str, intensity: float,
 
     for step in range(n_steps):
         progress = step / max(1, n_steps - 1)
-        for name, _, _, footprint, base_rate in roster:
+        for name, _, _, footprint, base_rate in _TENANT_ROSTER:
             rate = schedule.rate_at(progress) * base_rate
             carry[name] += rate
             writes = int(carry[name])
@@ -312,56 +268,3 @@ def pressure_cell(scenario: str, intensity: float,
         outcome.metrics[key] = final[key]
     _reconcile(pressure, tracer, outcome)
     return outcome
-
-
-class PressureCampaign:
-    """Sweep scenarios x intensities x allocation schemes.
-
-    The driver behind ``python -m repro.analysis pressure``: across the
-    whole sweep, ``oom_escaped == 0``, ``unreconciled == 0`` and every
-    cell recovers — overload is survived, accounted for, and shaken
-    off (docs/PRESSURE.md).
-    """
-
-    def __init__(self, scenarios: Sequence[str] = PRESSURE_SCENARIOS,
-                 intensities: Sequence[float] = PRESSURE_INTENSITIES,
-                 allocations: Sequence[str] = ("chunks", "variable"),
-                 seed: int = 0, n_steps: int = 160,
-                 config: Optional[PressureConfig] = None) -> None:
-        unknown = [s for s in scenarios if s not in BURST_SHAPES]
-        if unknown:
-            raise ValueError(f"unknown scenarios: {unknown}")
-        self.scenarios = tuple(scenarios)
-        self.intensities = tuple(intensities)
-        self.allocations = tuple(allocations)
-        self.seed = seed
-        self.n_steps = n_steps
-        self.config = config
-        self.cells: List[PressureCellOutcome] = []
-
-    def run(self) -> List[PressureCellOutcome]:
-        """Run every cell; results are cached on the instance."""
-        self.cells = [
-            pressure_cell(scenario, intensity, allocation=allocation,
-                          seed=self.seed, n_steps=self.n_steps,
-                          config=self.config)
-            for scenario in self.scenarios
-            for intensity in self.intensities
-            for allocation in self.allocations
-        ]
-        return self.cells
-
-    @property
-    def oom_escaped(self) -> int:
-        return sum(cell.oom_escaped for cell in self.cells)
-
-    @property
-    def unreconciled(self) -> int:
-        return sum(len(cell.unreconciled) for cell in self.cells)
-
-    @property
-    def all_recovered(self) -> bool:
-        return all(cell.recovered for cell in self.cells)
-
-    def rows(self) -> List[Dict[str, object]]:
-        return [cell.as_row() for cell in self.cells]

@@ -1,13 +1,12 @@
 """Cross-run results index, statistics and the regression gate.
 
-The runner's append-only artifacts — the ``runs.jsonl`` journal and
-the ``BENCH_kernels.json`` kernel trajectory — record everything but
-answer nothing.  This package makes the history queryable and lets
-two runs be compared with statistical rigor:
+The runner's append-only ``runs.jsonl`` journal records everything
+but answers nothing.  This package makes the history queryable and
+lets two runs be compared with statistical rigor:
 
 * :mod:`repro.results.index` — ``ResultsIndex``, a SQLite database
-  (``results_index.sqlite``; tables ``runs``, ``units``, ``metrics``,
-  ``bench``) with idempotent ingesters for both artifact kinds;
+  (``results_index.sqlite``; tables ``runs``, ``units``, ``metrics``)
+  with an idempotent journal ingester;
 * :mod:`repro.results.stats` — dependency-free sample statistics:
   bootstrap confidence intervals, Welch's t, permutation and
   Mann-Whitney significance tests sized for a handful of seeds;

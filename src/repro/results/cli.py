@@ -2,7 +2,7 @@
 
 Wired into ``python -m repro.analysis`` (docs/RESULTS.md)::
 
-    python -m repro.analysis index                 # ingest runs.jsonl (+ bench)
+    python -m repro.analysis index                 # ingest runs.jsonl
     python -m repro.analysis index --rebuild       # drop and re-ingest
     python -m repro.analysis index --runs          # list indexed runs
     python -m repro.analysis compare RUN_A RUN_B   # gate B against A
@@ -30,18 +30,7 @@ from .compare import (
 )
 from .index import DEFAULT_DB_PATH, ResultsIndex
 
-DEFAULT_SOURCES = ("runs.jsonl", "BENCH_kernels.json")
-
-
-def _default_sources() -> List[str]:
-    return [source for source in DEFAULT_SOURCES
-            if Path(source).is_file()]
-
-
-def _ingest(index: ResultsIndex, source: str) -> dict:
-    if source.endswith(".json"):
-        return index.ingest_bench_file(source)
-    return index.ingest_journal(source)
+DEFAULT_SOURCE = "runs.jsonl"
 
 
 def index_main(argv: Optional[List[str]] = None) -> int:
@@ -51,9 +40,8 @@ def index_main(argv: Optional[List[str]] = None) -> int:
                     "(docs/RESULTS.md).",
     )
     parser.add_argument("sources", nargs="*", metavar="PATH",
-                        help="journals (*.jsonl) and bench trajectories "
-                             "(*.json) to ingest (default: runs.jsonl "
-                             "and BENCH_kernels.json when present)")
+                        help="journals (*.jsonl) to ingest (default: "
+                             "runs.jsonl when present)")
     parser.add_argument("--db", default=DEFAULT_DB_PATH, metavar="PATH",
                         help=f"index database (default: {DEFAULT_DB_PATH})")
     parser.add_argument("--rebuild", action="store_true",
@@ -90,10 +78,11 @@ def index_main(argv: Optional[List[str]] = None) -> int:
                       f"source={row['source']}")
             return 0
 
-    sources = args.sources or _default_sources()
+    sources = args.sources or (
+        [DEFAULT_SOURCE] if Path(DEFAULT_SOURCE).is_file() else [])
     if not sources:
-        parser.error("nothing to ingest: no sources given and neither "
-                     f"{' nor '.join(DEFAULT_SOURCES)} exists")
+        parser.error("nothing to ingest: no sources given and "
+                     f"{DEFAULT_SOURCE} does not exist")
     missing = [source for source in sources
                if not Path(source).is_file()]
     if missing:
@@ -104,9 +93,9 @@ def index_main(argv: Optional[List[str]] = None) -> int:
     total_inserted = 0
     with ResultsIndex(args.db) as index:
         for source in sources:
-            inserted = _ingest(index, source)
+            inserted = index.ingest_journal(source)
             new_rows = sum(inserted.get(table, 0) for table in
-                           ("runs", "units", "metrics", "bench"))
+                           ("runs", "units", "metrics"))
             total_inserted += new_rows
             skipped = inserted.get("skipped", 0)
             detail = ", ".join(f"{table}+{count}" for table, count

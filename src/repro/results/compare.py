@@ -41,11 +41,6 @@ DEFAULT_SINGLE_SAMPLE_EFFECT = 0.10
 METRIC_DIRECTIONS: Dict[str, str] = {
     "compression_ratio": "higher",
     "metadata_hit_rate": "higher",
-    "scalar_lines_per_s": "higher",
-    "vector_lines_per_s": "higher",
-    "sizes_lines_per_s": "higher",
-    "speedup": "higher",
-    "sizes_speedup": "higher",
     "extra_accesses": "lower",
     "relative_extra_accesses": "lower",
     "timeline.extra_accesses": "lower",

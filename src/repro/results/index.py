@@ -1,8 +1,7 @@
 """Cross-run SQLite results index (``results_index.sqlite``).
 
-The run journal (``runs.jsonl``) and the kernel-bench trajectory
-(``BENCH_kernels.json``) are append-only, write-only history; this
-module turns them into a queryable database (docs/RESULTS.md):
+The run journal (``runs.jsonl``) is append-only, write-only history;
+this module turns it into a queryable database (docs/RESULTS.md):
 
 * ``runs``    — one row per runner invocation (``run_start`` merged
   with its ``run_end``);
@@ -10,13 +9,10 @@ module turns them into a queryable database (docs/RESULTS.md):
   (``unit_end``);
 * ``metrics`` — the numeric leaves of every unit's journaled
   ``stats``/``timeline``/``sanitizer`` digests, flattened to dotted
-  names, one row per (run, unit, seed, metric);
-* ``bench``   — one row per (document, algorithm) of every ingested
-  kernel-bench file, plus one ``*`` summary row per journal ``bench``
-  event.
+  names, one row per (run, unit, seed, metric).
 
 Ingestion is **idempotent**: rows are keyed by their natural identity
-(run id + unit + seed, bench generation + algorithm), inserts use
+(run id + unit + seed), inserts use
 ``INSERT OR IGNORE``/conflict-update upserts, and
 :meth:`ResultsIndex.ingest_journal` reports how many rows were
 actually new — re-ingesting an already-indexed journal inserts zero.
@@ -31,7 +27,6 @@ import sqlite3
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..analysis.bench import BENCH_SCHEMA
 from ..runner import read_journal, validate_event
 
 DEFAULT_DB_PATH = "results_index.sqlite"
@@ -80,22 +75,9 @@ CREATE TABLE IF NOT EXISTS metrics (
 );
 CREATE INDEX IF NOT EXISTS metrics_by_name
     ON metrics (metric, run_id);
-CREATE TABLE IF NOT EXISTS bench (
-    source             TEXT NOT NULL,
-    generated          TEXT NOT NULL,
-    algorithm          TEXT NOT NULL,
-    lines              INTEGER,
-    scalar_lines_per_s REAL,
-    vector_lines_per_s REAL,
-    sizes_lines_per_s  REAL,
-    speedup            REAL,
-    sizes_speedup      REAL,
-    match              INTEGER,
-    PRIMARY KEY (source, generated, algorithm)
-);
 """
 
-_TABLES = ("runs", "units", "metrics", "bench")
+_TABLES = ("runs", "units", "metrics")
 
 
 def flatten_metrics(digest: Any, prefix: str = "") -> Iterator[
@@ -151,10 +133,10 @@ class ResultsIndex:
     def ingest_journal(self, path: str | Path) -> Dict[str, int]:
         """Upsert every valid event of one ``runs.jsonl`` file.
 
-        Returns ``{"runs": n, "units": n, "metrics": n, "bench": n,
-        "skipped": n}`` where the table entries count rows that are
-        *new* (idempotent re-ingest reports zeros) and ``skipped``
-        counts schema-invalid records.
+        Returns ``{"runs": n, "units": n, "metrics": n, "skipped": n}``
+        where the table entries count rows that are *new* (idempotent
+        re-ingest reports zeros) and ``skipped`` counts schema-invalid
+        records.
         """
         before = self.counts()
         source = Path(path).name
@@ -186,8 +168,6 @@ class ResultsIndex:
                            wall_s=record["wall_s"], source=source)
             elif event == "unit_end":
                 self._ingest_unit_end(record)
-            elif event == "bench":
-                self._ingest_bench_event(record, source)
             # unit_start/unit_retry/index/compare events carry no
             # indexed state beyond what unit_end/run rows already hold.
         for row in run_rows.values():
@@ -199,63 +179,10 @@ class ResultsIndex:
         inserted["skipped"] = skipped
         return inserted
 
-    def ingest_bench_file(self, path: str | Path) -> Dict[str, int]:
-        """Upsert every algorithm row of one ``BENCH_kernels.json``.
-
-        The document is also mirrored into ``runs``/``metrics`` under
-        the synthetic run id ``bench:<generated>`` with one
-        ``kernels/<algorithm>`` unit each, so ``compare`` can gate
-        lines/sec between two bench generations with the same
-        machinery it uses for experiment metrics.
-        """
-        before = self.counts()
-        path = Path(path)
-        doc = json.loads(path.read_text())
-        if not isinstance(doc, dict) or doc.get("schema") != BENCH_SCHEMA:
-            raise ValueError(
-                f"{path} is not a {BENCH_SCHEMA} document "
-                f"(schema={doc.get('schema') if isinstance(doc, dict) else None!r})")
-        generated = str(doc.get("generated"))
-        algorithms = doc.get("algorithms") or {}
-        run_id = f"bench:{generated}"
-        self._upsert_run({"run_id": run_id, "scale": "bench",
-                          "experiments": json.dumps(sorted(algorithms)),
-                          "units": len(algorithms),
-                          "source": path.name})
-        for algorithm in sorted(algorithms):
-            entry = algorithms[algorithm]
-            if not isinstance(entry, dict):
-                continue
-            self.conn.execute(
-                "INSERT OR IGNORE INTO bench (source, generated, "
-                "algorithm, lines, scalar_lines_per_s, "
-                "vector_lines_per_s, sizes_lines_per_s, speedup, "
-                "sizes_speedup, match) VALUES (?,?,?,?,?,?,?,?,?,?)",
-                (path.name, generated, algorithm, doc.get("lines"),
-                 entry.get("scalar_lines_per_s"),
-                 entry.get("vector_lines_per_s"),
-                 entry.get("sizes_lines_per_s"), entry.get("speedup"),
-                 entry.get("sizes_speedup"),
-                 _int_or_null(entry.get("match"))))
-            unit = f"kernels/{algorithm}"
-            self.conn.execute(
-                "INSERT OR IGNORE INTO units (run_id, unit, seed, "
-                "experiment, cached, ok) VALUES (?,?,?,?,0,1)",
-                (run_id, unit, doc.get("seed", NO_SEED), "bench"))
-            for metric, value in flatten_metrics(entry):
-                self.conn.execute(
-                    "INSERT OR IGNORE INTO metrics (run_id, unit, "
-                    "seed, metric, value) VALUES (?,?,?,?,?)",
-                    (run_id, unit, doc.get("seed", NO_SEED), metric,
-                     value))
-        self.conn.commit()
-        after = self.counts()
-        return {table: after[table] - before[table] for table in _TABLES}
-
     # -- queries ----------------------------------------------------------
 
     def runs(self) -> List[Dict[str, Any]]:
-        """Every indexed run, oldest first (bench runs included)."""
+        """Every indexed run, oldest first."""
         rows = self.conn.execute(
             "SELECT * FROM runs ORDER BY started IS NULL, started, "
             "run_id").fetchall()
@@ -312,18 +239,6 @@ class ResultsIndex:
                                []).append(row["value"])
         return samples
 
-    def bench_history(self, algorithm: Optional[str] = None
-                      ) -> List[Dict[str, Any]]:
-        """The full bench trajectory, oldest generation first."""
-        query = "SELECT * FROM bench"
-        params: Tuple[Any, ...] = ()
-        if algorithm is not None:
-            query += " WHERE algorithm = ?"
-            params = (algorithm,)
-        query += " ORDER BY generated, algorithm"
-        return [dict(row) for row in
-                self.conn.execute(query, params).fetchall()]
-
     # -- internals --------------------------------------------------------
 
     def _ingest_unit_end(self, record: Dict[str, Any]) -> None:
@@ -350,15 +265,6 @@ class ResultsIndex:
                     (record["run_id"], record["unit"], seed, metric,
                      value))
 
-    def _ingest_bench_event(self, record: Dict[str, Any],
-                            source: str) -> None:
-        """A journal ``bench`` event: one ``*`` summary row."""
-        self.conn.execute(
-            "INSERT OR IGNORE INTO bench (source, generated, "
-            "algorithm, lines, speedup, match) VALUES (?,?,?,?,?,?)",
-            (source, repr(record["ts"]), "*", record["lines"],
-             record["best_speedup"], int(record["match"])))
-
     def _upsert_run(self, row: Dict[str, Any]) -> None:
         columns = ("run_id", "started", "finished", "jobs",
                    "cache_enabled", "scale", "sanitize", "seeds",
@@ -379,10 +285,6 @@ def _text_or_null(value: Any) -> Optional[str]:
     if value is None:
         return None
     return value if isinstance(value, str) else repr(value)
-
-
-def _int_or_null(value: Any) -> Optional[int]:
-    return None if value is None else int(value)
 
 
 __all__ = [

@@ -24,11 +24,6 @@ event           required fields (beyond ``event``, ``run_id``, ``ts``)
                 ``wall_s`` (float), ``ok`` (bool)
 ``run_end``     ``wall_s`` (float), ``units`` (int), ``cache_hits``
                 (int)
-``bench``       ``out`` (str), ``lines`` (int), ``algorithms``
-                (list), ``best_speedup`` (float), ``match`` (bool) —
-                one kernel micro-benchmark digest per
-                ``python -m repro.analysis bench`` run
-                (docs/KERNELS.md)
 ``index``       ``db`` (str), ``sources`` (list), ``inserted``
                 (int) — one results-index ingest
                 (``python -m repro.analysis index``, docs/RESULTS.md)
@@ -83,8 +78,6 @@ EVENT_SCHEMA: Dict[str, Dict[str, tuple]] = {
                  "wall_s": (int, float), "ok": (bool,)},
     "run_end": {"wall_s": (int, float), "units": (int,),
                 "cache_hits": (int,)},
-    "bench": {"out": (str,), "lines": (int,), "algorithms": (list,),
-              "best_speedup": (int, float), "match": (bool,)},
     "index": {"db": (str,), "sources": (list,), "inserted": (int,)},
     "compare": {"db": (str,), "run_a": (str,), "run_b": (str,),
                 "metrics": (int,), "regressions": (int,)},

@@ -36,13 +36,6 @@ class SimulationConfig:
     scale: float = 0.25              # footprint scale factor
     seed: int = 0
     warm_install: bool = True        # pre-populate memory (CompressPoint)
-    #: Prime the controller's compressed-size cache through the numpy
-    #: batch kernels before the warm install (docs/KERNELS.md).  Purely
-    #: a wall-clock optimization — the vector kernels are byte-identical
-    #: to the scalar compressors, so results and statistics do not
-    #: change; opt-in because correctness runs deliberately exercise
-    #: the scalar demand path.
-    batch_install: bool = False
     ratio_samples: int = 20          # compression-ratio timeline length
     os_fault_penalty: int = OS_PAGE_FAULT_PENALTY_CYCLES
     dram_channels: int = 1
@@ -256,12 +249,6 @@ def simulate(profile: BenchmarkProfile, system: str,
             injector.bind(controller, tracer)
     with tracer.phase("install"):
         if sim.warm_install:
-            if sim.batch_install and hasattr(controller, "prime_size_cache"):
-                controller.prime_size_cache(
-                    line
-                    for page in range(workload.pages)
-                    for line in workload.page_lines(page)
-                )
             for page in range(workload.pages):
                 controller.install_page(page, workload.page_lines(page))
 

@@ -48,6 +48,22 @@ def interesting_lines():
     yield (b"hello world! " * 5)[:64]
     yield struct.pack("<16I", *[1 << 31] * 16)             # sign boundary
     yield struct.pack("<16I", 0xFFFFFFFF, *[0] * 15)       # big then zeros
+    # BDI delta-width boundaries: exactly fits / just misses each width.
+    for width in (1, 2, 4):
+        fit = (1 << (8 * width - 1)) - 1
+        yield struct.pack("<16I", 1000, *([1000 + fit] * 15))
+        yield struct.pack("<16I", 1000, *([1000 + fit + 1] * 15))
+    # FPC prefix boundaries: 4/8/16-bit sign-extension edges, half-zero,
+    # two halfword SE8, repeated bytes, zero runs of exactly 8.
+    yield struct.pack("<16i", *([7, -8, 127, -128] * 4))
+    yield struct.pack("<16i", *([32767, -32768] * 8))
+    yield struct.pack("<16I", *([0x00012300] * 16))        # half zero low
+    yield struct.pack("<16I", *([0x007F00FF] * 16))        # two SE8 halves
+    yield b"\xab" * 64                                     # repeated bytes
+    yield struct.pack("<16I", *([0] * 8 + [1] + [0] * 7))  # 8-zero run
+    # BPC plane shapes: single-one and two-consecutive-ones DBX planes.
+    yield struct.pack("<16I", *[1 << i for i in range(16)])
+    yield struct.pack("<16I", *[3 << i for i in range(16)])
 
 
 @pytest.mark.parametrize("compressor", ALL_COMPRESSORS, ids=IDS)

@@ -54,15 +54,12 @@ def test_repo_deep_lint_clean(repo_deep_report):
     assert repo_deep_report.exit_code == 0
 
 
-def test_repo_baseline_carries_exactly_the_bench_finding(repo_deep_report):
-    """The checked-in baseline grandfathers run_bench timing, no more."""
-    assert repo_deep_report.baselined == 1
+def test_repo_baseline_is_empty(repo_deep_report):
+    """The checked-in baseline grandfathers nothing."""
+    assert repo_deep_report.baselined == 0
     doc = json.loads((ROOT / ".reprolint-baseline.json").read_text())
     assert doc["schema"] == "reprolint-baseline/1"
-    entries = doc["findings"]
-    assert len(entries) == 1
-    assert entries[0]["rule"] == "determinism-taint"
-    assert entries[0]["path"] == "src/repro/analysis/bench.py"
+    assert doc["findings"] == []
 
 
 def test_repo_deep_parallel_matches_serial():
@@ -485,7 +482,6 @@ def test_cli_deep_lint_exits_zero(capsys):
     assert analysis_main(["lint", "--deep"]) == 0
     out = capsys.readouterr().out
     assert "reprolint: OK" in out
-    assert "baselined" in out
 
 
 def test_cli_sarif_export(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 Three layers: the spec grammar, per-site injection mechanics (every
 fault variant must be *detected* — strict mode raises, recover mode
-repairs and emits ``fault_*``/``recovery_*`` events), and the campaign
-smoke test that sweeps all sites and demands zero silent corruptions.
+repairs and emits ``fault_*``/``recovery_*`` events), and the
+``run_faults`` sweep over all sites, which demands zero silent
+corruptions.
 Allocator exhaustion gets its own class, run under both the 512 B-chunk
 and variable-sized-region allocation schemes.
 """
@@ -17,7 +18,6 @@ from repro.core.config import compresso_config, lcp_config
 from repro.core.controller import CompressedMemoryController
 from repro.inject import (
     SITES,
-    FaultCampaign,
     FaultInjector,
     FaultSpec,
     campaign_cell,
@@ -244,18 +244,17 @@ class TestExhaustionDegradedMode:
 
 
 # ---------------------------------------------------------------------------
-# campaign: the zero-silent-corruption smoke test (tier-1)
+# campaign: the zero-silent-corruption sweep (tier-1)
 # ---------------------------------------------------------------------------
 
 class TestFaultCampaign:
     def test_campaign_has_zero_silent_corruptions(self):
-        campaign = FaultCampaign(rates=(0.02,), n_events=600, scale=0.05)
-        cells = campaign.run()
-        assert len(cells) == len(campaign.sites)
-        assert sum(cell.injected for cell in cells) > 0
-        assert campaign.silent_corruptions == 0
-        for cell in cells:
-            assert cell.detected == cell.injected - cell.masked, cell.as_row()
+        from repro.analysis import QUICK, run_faults
+        result = run_faults(QUICK, runner=None)
+        assert result.summary["injected"] > 0
+        assert result.summary["silent"] == 0
+        for row in result.rows:
+            assert row["detected"] == row["injected"] - row["masked"], row
 
     def test_cell_rows_have_the_report_shape(self):
         cell = campaign_cell("mdcache", 0.02, n_events=400, scale=0.05)
@@ -266,7 +265,7 @@ class TestFaultCampaign:
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError):
-            FaultCampaign(sites=("line", "bogus"))
+            campaign_cell("bogus", 0.02)
 
     def test_reconcile_flags_truly_silent_faults(self):
         # A record with no matching events must be classified silent.

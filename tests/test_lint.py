@@ -232,8 +232,7 @@ def test_hot_path_wallclock_rule(tmp_path):
         "def f():\n"
         "    return time.perf_counter()\n"
     )
-    for hot_dir in ("core", "memory", "compression", "compression/vector",
-                    "pressure"):
+    for hot_dir in ("core", "memory", "compression", "pressure"):
         kept, _ = _lint_snippet(
             tmp_path, f"src/repro/{hot_dir}/mod.py", bad,
             ["hot-path-wallclock"])

@@ -3,13 +3,12 @@
 Three layers of coverage: the :class:`PressureController` policies in
 isolation (token bucket, priority shedding, budgets, watchdog, OOM
 absorption), the campaign machinery (cells, reconciliation, recovery
-drills), and the sweep-level acceptance claims — zero escaped OOMs,
-zero unreconciled transitions, every cell recovers.
+drills), and the ``run_pressure`` sweep's acceptance claims — zero
+escaped OOMs, zero unreconciled transitions, every cell recovers.
 """
 
 import pytest
 
-from repro.analysis.__main__ import main as analysis_main
 from repro.core import (
     BalloonDriver,
     CompressedMemoryController,
@@ -29,13 +28,11 @@ from repro.pressure import (
     PRIORITY_BEST_EFFORT,
     PRIORITY_CRITICAL,
     PRIORITY_STANDARD,
-    PressureCampaign,
     PressureConfig,
     PressureController,
     TenantSpec,
     TokenBucket,
     jain_index,
-    parse_pressure_spec,
     pressure_cell,
     run_recovery_drill,
 )
@@ -404,22 +401,8 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# campaign: specs, cells, drills, acceptance
+# campaign: cells, drills, acceptance
 # ---------------------------------------------------------------------------
-
-class TestSpecParsing:
-    def test_good_specs(self):
-        assert parse_pressure_spec("collapse:1.5") == ("collapse", 1.5, 3)
-        assert parse_pressure_spec("stampede:2.0:2") == ("stampede", 2.0, 2)
-
-    @pytest.mark.parametrize("spec", [
-        "collapse", "bogus:1.0", "collapse:x", "collapse:0",
-        "collapse:1:9", "collapse:1:z", "collapse:1:2:3",
-    ])
-    def test_bad_specs_raise(self, spec):
-        with pytest.raises(ValueError):
-            parse_pressure_spec(spec)
-
 
 class TestRecoveryDrill:
     def test_drill_drains_to_survivor_set(self):
@@ -463,38 +446,19 @@ class TestPressureCells:
         assert cell.oom_escaped == 0
 
     def test_full_sweep_acceptance(self):
-        """The PR's resilience claims over the whole sweep (reduced
-        step count; the CLI default runs the same cells longer)."""
-        campaign = PressureCampaign(n_steps=60)
-        cells = campaign.run()
-        assert len(cells) == 3 * 3 * 2
-        assert campaign.oom_escaped == 0
-        assert campaign.unreconciled == 0
-        assert campaign.all_recovered
-        rows = campaign.rows()
-        assert {"scenario", "intensity", "allocation", "jain_fairness",
-                "stall_p95", "recovered"} <= set(rows[0])
-        for row in rows:
+        """The resilience claims over the whole sweep, as
+        ``run --filter pressure`` computes them."""
+        from repro.analysis import QUICK, run_pressure
+        result = run_pressure(QUICK, runner=None)
+        assert len(result.rows) == 3 * 3 * 2
+        assert result.summary["oom_escaped"] == 0
+        assert result.summary["unreconciled"] == 0
+        assert result.summary["all_recovered"] == 1
+        for row in result.rows:
             assert 0.0 < row["jain_fairness"] <= 1.0
             assert row["recovered"] == 1
             assert row["unreconciled"] == 0
 
     def test_campaign_rejects_unknown_scenario(self):
         with pytest.raises(ValueError):
-            PressureCampaign(scenarios=("collapse", "quake"))
-
-
-class TestPressureCLI:
-    def test_spec_run_renders_and_passes_strict(self, capsys):
-        code = analysis_main(["pressure", "--spec", "diurnal:0.5",
-                              "--allocation", "chunks", "--steps", "40",
-                              "--strict"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "diurnal" in out
-        assert "oom_escaped" in out
-        assert "all_recovered: True" in out
-
-    def test_bad_spec_is_an_argparse_error(self):
-        with pytest.raises(SystemExit):
-            analysis_main(["pressure", "--spec", "bogus:1.0"])
+            pressure_cell("quake", 1.0)

@@ -1,7 +1,7 @@
 """Tests for the cross-run results index, stats and compare gate.
 
 Covers the docs/RESULTS.md contract: idempotent SQLite ingestion of
-journals and bench trajectories, the dependency-free statistics
+journals, the dependency-free statistics
 against known distributions, and the ``analysis compare`` exit-code
 gate — including the tier-1 smoke check (fixture-journal ingest plus
 self-compare) the acceptance criteria call for.
@@ -54,21 +54,6 @@ def _write_journal(path, run_id, ratios, extra=100, experiment="fig4",
                              "extra_accesses": extra + offset},
                       sanitizer={"violations": 0})
     journal.event("run_end", wall_s=1.0, units=len(ratios), cache_hits=0)
-    return path
-
-
-def _write_bench(path, generated="2026-08-08T00:00:00Z", speed=1e6):
-    from repro.analysis.bench import BENCH_SCHEMA
-    doc = {
-        "schema": BENCH_SCHEMA, "generated": generated, "lines": 4096,
-        "seed": 42,
-        "algorithms": {
-            "bdi": {"scalar_lines_per_s": speed / 14,
-                    "vector_lines_per_s": speed, "speedup": 14.0,
-                    "match": True},
-        },
-    }
-    path.write_text(json.dumps(doc))
     return path
 
 
@@ -177,7 +162,7 @@ class TestIndex:
             assert first["skipped"] == 0
             second = index.ingest_journal(journal)
             assert {k: v for k, v in second.items() if k != "skipped"} \
-                == {"runs": 0, "units": 0, "metrics": 0, "bench": 0}
+                == {"runs": 0, "units": 0, "metrics": 0}
 
     def test_invalid_records_are_skipped_not_half_ingested(self, tmp_path):
         path = _write_journal(tmp_path / "runs.jsonl", "runone00", [1.5])
@@ -204,30 +189,6 @@ class TestIndex:
             (row,) = index.runs()
             assert row["seeds"] == 2 and row["base_seed"] == 42
             assert row["units"] == 2 and row["finished"] is not None
-
-    def test_bench_ingest_idempotent_and_mirrored(self, tmp_path):
-        bench = _write_bench(tmp_path / "BENCH_kernels.json")
-        with ResultsIndex(tmp_path / "idx.sqlite") as index:
-            first = index.ingest_bench_file(bench)
-            assert first["bench"] == 1 and first["runs"] == 1
-            assert first["metrics"] > 0
-            second = index.ingest_bench_file(bench)
-            assert second == {"runs": 0, "units": 0, "metrics": 0,
-                              "bench": 0}
-            history = index.bench_history("bdi")
-            assert len(history) == 1
-            assert history[0]["speedup"] == 14.0
-            # Mirrored as a synthetic run the compare gate can use.
-            samples = index.metric_samples(
-                index.resolve_run("bench:"))
-            assert ("kernels/bdi", "speedup") in samples
-
-    def test_bench_rejects_foreign_documents(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"schema": "something-else"}))
-        with ResultsIndex(tmp_path / "idx.sqlite") as index:
-            with pytest.raises(ValueError):
-                index.ingest_bench_file(path)
 
     def test_resolve_run_prefix(self, tmp_path):
         journal = tmp_path / "runs.jsonl"
@@ -365,13 +326,12 @@ class TestCli:
         _write_journal(journal, "baseline0001",
                        [1.50, 1.51, 1.52, 1.53, 1.54])
         _write_journal(journal, "candidate001", b_ratios)
-        _write_bench(tmp_path / "BENCH_kernels.json")
         assert analysis_main(["index"]) == 0
 
     def test_smoke_ingest_idempotent_and_self_compare_clean(
             self, tmp_path, monkeypatch, capsys):
-        """The tier-1 smoke check: fixture journal + bench trajectory
-        ingest twice (second pass inserts nothing), and a run compared
+        """The tier-1 smoke check: the fixture journal ingests
+        twice (second pass inserts nothing), and a run compared
         against itself reports no regressions."""
         self._populate(tmp_path, monkeypatch,
                        [1.50, 1.51, 1.52, 1.53, 1.54])
@@ -420,7 +380,6 @@ class TestCli:
         assert analysis_main(["index", "--runs"]) == 0
         out = capsys.readouterr().out
         assert "baseline0001" in out and "candidate001" in out
-        assert "bench:" in out
 
     def test_index_rebuild(self, tmp_path, monkeypatch, capsys):
         self._populate(tmp_path, monkeypatch,

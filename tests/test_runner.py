@@ -209,8 +209,6 @@ GOLDEN_EVENTS = {
                                "peak": None},
                      sanitizer={"violations": 0}),
     "run_end": dict(wall_s=1.5, units=4, cache_hits=1),
-    "bench": dict(out="BENCH_kernels.json", lines=4096,
-                  algorithms=["bdi"], best_speedup=14.0, match=True),
     "index": dict(db="results_index.sqlite", sources=["runs.jsonl"],
                   inserted=12),
     "compare": dict(db="results_index.sqlite", run_a="a", run_b="b",
@@ -308,7 +306,7 @@ class TestTimingTable:
 class TestCommandLine:
     """``python -m repro.analysis``: subcommand dispatch and run flags."""
 
-    @pytest.mark.parametrize("argv", [["fig2"], []])
+    @pytest.mark.parametrize("argv", [["fig2"], [], ["bench"], ["pressure"]])
     def test_missing_or_unknown_subcommand_is_a_usage_error(self, capsys,
                                                             argv):
         with pytest.raises(SystemExit) as excinfo:
@@ -323,5 +321,21 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as excinfo:
             analysis_main(["run", "--no-journal", "--no-cache",
                            "--filter", "sec7", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["trace", "--system", "bogus"], "--system"),
+        (["trace", "--events", "-5"], "--events"),
+        (["trace", "--events", "0"], "--events"),
+        (["run", "--no-journal", "--no-cache", "--filter", "sec7",
+          "--trace-window", "-5"], "--trace-window"),
+        (["run", "--no-journal", "--no-cache", "--filter", "sec7",
+          "--trace-window", "0"], "--trace-window"),
+    ])
+    def test_bad_numbers_and_names_are_parser_errors(self, capsys, argv,
+                                                     flag):
+        with pytest.raises(SystemExit) as excinfo:
+            analysis_main(argv)
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
