@@ -1,83 +1,52 @@
 #!/usr/bin/env python
 """Refresh the ``<!-- MEASURED -->`` section of EXPERIMENTS.md.
 
-Two modes.  The legacy mode inserts the recorded bench_output.txt
-summaries, produced by ``pytest benchmarks/ --benchmark-only -s >
-bench_output.txt``::
+A filter over the output of ``python -m repro.analysis run``
+(docs/RUNNER.md), the one way to regenerate the paper's figures::
 
-    python scripts/update_experiments_md.py
+    PYTHONPATH=src python -m repro.analysis run --scale default --jobs 4 \
+        --no-journal | python scripts/update_experiments_md.py
 
-``--regenerate`` instead recomputes the experiments directly through
-the parallel runner (:mod:`repro.runner`, see docs/RUNNER.md) — fanned
-out over ``--jobs`` workers and memoized in ``.repro_cache/``, so a
-re-run only recomputes cells invalidated by a config or code change::
-
-    python scripts/update_experiments_md.py --regenerate --jobs 4
-    python scripts/update_experiments_md.py --regenerate --scale quick \
-        --filter fig10 --no-cache
-
-Either way it extracts each experiment's summary block (the lines
-between the dashed rule and the ``paper reports:`` marker) and replaces
-the ``<!-- MEASURED -->`` section of EXPERIMENTS.md.
+It extracts each experiment's summary block (the lines between the
+last dashed rule and the ``paper reports:`` marker, the ``claims:``
+verdicts or the end-of-run timing table) from stdin and replaces the
+``<!-- MEASURED -->`` section of EXPERIMENTS.md.  ``--filter`` on the
+``run`` side restricts the section to the matching experiments.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: Line prefixes that end an experiment's summary block.
+_STOPS = ("paper reports:", "claims:", "== run timing ==")
 
-def extract_summaries(bench_text: str) -> str:
-    """Pull the per-experiment summary blocks out of the bench log."""
+
+def extract_summaries(run_text: str) -> str:
+    """Pull the per-experiment summary blocks out of ``run`` output."""
     blocks = []
     pattern = re.compile(r"^== (\w+): (.+) ==$", re.MULTILINE)
-    matches = list(pattern.finditer(bench_text))
+    matches = list(pattern.finditer(run_text))
     for index, match in enumerate(matches):
         end = (matches[index + 1].start()
-               if index + 1 < len(matches) else len(bench_text))
-        section = bench_text[match.start():end]
+               if index + 1 < len(matches) else len(run_text))
+        section = run_text[match.start():end]
         lines = section.splitlines()
-        # Keep everything from the last dashed rule to 'paper reports:'.
-        rules = [i for i, line in enumerate(lines)
+        stop = next((i for i, line in enumerate(lines)
+                     if line.startswith(_STOPS)), len(lines))
+        # Keep everything from the last dashed rule before the stop.
+        rules = [i for i, line in enumerate(lines[:stop])
                  if set(line.strip()) == {"-"} and line.strip()]
-        try:
-            stop = next(i for i, line in enumerate(lines)
-                        if line.startswith("paper reports:"))
-        except StopIteration:
-            stop = len(lines)
-        start = rules[-1] + 1 if rules and rules[-1] < stop else 1
+        start = rules[-1] + 1 if rules else 1
         summary = [line.rstrip() for line in lines[start:stop]
                    if line.strip()]
         blocks.append(f"### {match.group(1)} — {match.group(2)}\n\n```\n"
                       + "\n".join(summary) + "\n```\n")
     return "\n".join(blocks)
-
-
-def regenerate_text(jobs: int, scale_name: str, filters, use_cache: bool,
-                    journal_path: str) -> str:
-    """Recompute experiments through the runner; return rendered text."""
-    sys.path.insert(0, str(ROOT / "src"))
-    from repro.analysis import render
-    from repro.analysis.__main__ import RUNNERS, SCALES, _invoke
-    from repro.runner import ResultCache, RunJournal, Runner
-
-    names = list(RUNNERS)
-    if filters:
-        names = [name for name in names
-                 if any(pattern in name for pattern in filters)]
-    runner = Runner(
-        jobs=jobs,
-        cache=ResultCache() if use_cache else None,
-        journal=RunJournal(journal_path) if journal_path else None,
-        progress=True,
-    )
-    scale = SCALES[scale_name]
-    return "\n".join(render(_invoke(name, scale, runner)) + "\n"
-                     for name in names)
 
 
 def update_doc(measured: str) -> int:
@@ -100,38 +69,14 @@ def update_doc(measured: str) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--regenerate", action="store_true",
-                        help="recompute via the parallel runner instead of "
-                             "reading bench_output.txt")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for --regenerate (default 1)")
-    parser.add_argument("--scale", choices=("quick", "default", "full"),
-                        default="default",
-                        help="problem size for --regenerate")
-    parser.add_argument("--filter", action="append", default=[],
-                        metavar="PATTERN",
-                        help="restrict --regenerate to matching experiments "
-                             "(the MEASURED section then holds only those)")
-    parser.add_argument("--no-cache", dest="cache", action="store_false",
-                        help="bypass .repro_cache/ when regenerating")
-    parser.add_argument("--journal", default="runs.jsonl",
-                        help="run-journal path for --regenerate "
-                             "(default runs.jsonl; '' disables)")
-    args = parser.parse_args(argv)
-
-    if args.regenerate:
-        text = regenerate_text(args.jobs, args.scale, args.filter,
-                               args.cache, args.journal)
-    else:
-        bench_path = ROOT / "bench_output.txt"
-        if not bench_path.exists():
-            print("bench_output.txt not found; run the benchmark harness "
-                  "first (or use --regenerate)", file=sys.stderr)
-            return 1
-        text = bench_path.read_text()
-    return update_doc(extract_summaries(text))
+def main() -> int:
+    measured = extract_summaries(sys.stdin.read())
+    if not measured:
+        print("no experiment output on stdin; pipe "
+              "'python -m repro.analysis run' into this script",
+              file=sys.stderr)
+        return 1
+    return update_doc(measured)
 
 
 if __name__ == "__main__":

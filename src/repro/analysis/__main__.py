@@ -11,6 +11,11 @@ parallel execution, content-addressed result caching under
     python -m repro.analysis run --filter fig4 --trace-window 1000
     python -m repro.analysis run --filter fig4 --sanitize
 
+At the shipped presets ``run`` also checks the paper's claims
+(:mod:`repro.analysis.claims`) against each experiment it regenerates,
+prints ``claims: K/N hold`` under its table, and exits 1 if any claim
+flipped.
+
 Robustness knobs (docs/ROBUSTNESS.md): ``--inject`` runs every
 cycle-based unit under fault injection (pairing it with
 ``--sanitize recover`` unless another mode was chosen), ``--timeout``
@@ -80,6 +85,7 @@ from . import (
 )
 from ..runner import ResultCache, RunJournal, Runner, timing_table
 from ..simulation.configs import SYSTEM_ORDER
+from .claims import check_claims
 
 RUNNERS = {
     "fig2": run_fig2,
@@ -236,6 +242,7 @@ def _run_command(argv) -> int:
                       experiments=names, scale=args.scale,
                       sanitize=sanitize, seeds=args.seeds,
                       base_seed=scale.seed)
+    flipped = []
     for offset in range(args.seeds):
         seed_scale = (scale if offset == 0
                       else dataclasses.replace(scale,
@@ -246,13 +253,17 @@ def _run_command(argv) -> int:
         for name in names:
             result = _invoke(name, seed_scale, runner)
             print(render(result))
+            # Claims are stated for the shipped presets at their base
+            # seed; any other scale or seed prints no verdicts.
+            if seed_scale in (QUICK, DEFAULT, FULL):
+                flipped += check_claims(name, result)
             print()
     if journal is not None:
         journal.event("run_end", wall_s=time.time() - started,
                       units=len(runner.records),
                       cache_hits=runner.cache_hits)
     print(timing_table(runner.records))
-    return 0
+    return 1 if flipped else 0
 
 
 def _trace_command(argv) -> int:
@@ -357,9 +368,6 @@ def _lint_command(argv) -> int:
                         nargs="?", const="callgraph.json",
                         help="with --deep: dump the resolved call graph "
                              "as JSON (default: callgraph.json)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="with --deep: grandfather every current "
-                             "flow finding into .reprolint-baseline.json")
     parser.add_argument("paths", nargs="*", metavar="PATH",
                         help="files to lint (default: src/repro + scripts)")
     args = parser.parse_args(argv)
@@ -380,25 +388,9 @@ def _lint_command(argv) -> int:
         rules = [rule_id.strip() for rule_id in args.rules.split(",")
                  if rule_id.strip()]
     files = [Path(p) for p in args.paths] or None
-    deep = args.deep or args.write_baseline
     dump = Path(args.dump_callgraph) if args.dump_callgraph else None
-
-    if args.write_baseline:
-        from ..check import write_baseline
-        from ..check.driver import repo_root
-        from ..check.flow import flow_rule_ids
-        report = run_lint(files=files, rules=rules, jobs=args.jobs,
-                          deep=True, use_baseline=False)
-        flow_ids = set(flow_rule_ids())
-        grandfathered = [f for f in report.findings
-                         if f.rule in flow_ids and f.severity == "error"]
-        path = repo_root() / ".reprolint-baseline.json"
-        write_baseline(path, grandfathered)
-        print(f"baseline: {len(grandfathered)} finding(s) -> {path}")
-        return 0
-
     report = run_lint(files=files, rules=rules, jobs=args.jobs,
-                      deep=deep, dump_callgraph=dump)
+                      deep=args.deep, dump_callgraph=dump)
     if args.sarif:
         Path(args.sarif).write_text(
             json.dumps(to_sarif(report.findings), indent=2) + "\n")

@@ -4,8 +4,10 @@ Each ``run_*`` function regenerates the corresponding artifact of the
 paper's evaluation over the synthetic workload suite and returns an
 :class:`~repro.analysis.report.ExperimentResult` carrying the same
 rows/series the paper plots, the paper's stated reference values, and
-notes about substitutions.  ``benchmarks/`` wraps these runners with
-pytest-benchmark; EXPERIMENTS.md records paper-vs-measured.
+notes about substitutions.  ``python -m repro.analysis run`` calls
+these runners and checks the paper's claims against their results
+(:mod:`repro.analysis.claims`); EXPERIMENTS.md records
+paper-vs-measured.
 
 All runners accept an :class:`ExperimentScale`; the defaults trade
 precision for wall-clock so the full harness finishes in minutes on a

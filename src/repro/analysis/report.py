@@ -40,25 +40,35 @@ def _format(value: Any, width: int) -> str:
 
 def render(result: ExperimentResult, label_width: int = 12,
            column_width: int = 10) -> str:
-    """Render an experiment as an aligned ASCII table."""
+    """Render an experiment as an aligned ASCII table.
+
+    The label column, the other columns and the summary-key field widen
+    past the given widths to keep at least one space between every name
+    and its neighbour.
+    """
     lines = [f"== {result.experiment_id}: {result.title} =="]
+    labels = [str(row.get(result.columns[0], "")) for row in result.rows]
+    label_width = max([label_width] + [len(label) + 1 for label in labels])
+    widths = [max(column_width, len(str(column)) + 1)
+              for column in result.columns[1:]]
     header = f"{result.columns[0]:<{label_width}}" + "".join(
-        f"{c:>{column_width}}" for c in result.columns[1:]
+        f"{c:>{width}}" for c, width in zip(result.columns[1:], widths)
     )
     lines.append(header)
     lines.append("-" * len(header))
-    for row in result.rows:
-        label = str(row.get(result.columns[0], ""))
+    for label, row in zip(labels, result.rows):
         cells = "".join(
-            _format(row.get(column, ""), column_width)
-            for column in result.columns[1:]
+            _format(row.get(column, ""), width)
+            for column, width in zip(result.columns[1:], widths)
         )
         lines.append(f"{label:<{label_width}}" + cells)
     if result.summary:
         lines.append("-" * len(header))
+        key_width = max(label_width + 2,
+                        max(len(str(key)) for key in result.summary) + 1)
         for key, value in result.summary.items():
             value_str = f"{value:.3f}" if isinstance(value, float) else str(value)
-            lines.append(f"{key:<{label_width + 2}}{value_str}")
+            lines.append(f"{key:<{key_width}}{value_str}")
     if result.paper_values:
         lines.append("paper reports:")
         for key, value in result.paper_values.items():

@@ -21,8 +21,7 @@ module scope, so the controller can import the sanitizer without an
 import cycle; rules that inspect core types import them lazily.
 """
 
-from .driver import (LintReport, lint_file, lint_file_detail, load_baseline,
-                     run_lint, write_baseline)
+from .driver import LintReport, lint_file, lint_file_detail, run_lint
 from .findings import SEVERITIES, Finding, format_finding, to_sarif
 from .rules import ModuleSource, ProjectRule, Rule, all_rules, get_rule, register
 from .sanitizer import InvariantViolation, MemorySanitizer, SanitizerError
@@ -42,9 +41,7 @@ __all__ = [
     "get_rule",
     "lint_file",
     "lint_file_detail",
-    "load_baseline",
     "register",
     "run_lint",
     "to_sarif",
-    "write_baseline",
 ]

@@ -37,8 +37,7 @@ CONFIG_CLASSES = (
     ("src/repro/pressure/controller.py", "PressureConfig"),
 )
 
-#: How many lines around a stats increment may hold its tracer call
-#: (mirrors the historical ``scripts/check_instrumentation.py`` rule).
+#: How many lines around a stats increment may hold its tracer call.
 NEIGHBORHOOD = 4
 
 _TRACER_CALL = re.compile(r"\.(emit|tick)\(")

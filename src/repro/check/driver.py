@@ -9,8 +9,7 @@ and returns a :class:`LintReport`.
 ``deep=True`` additionally builds one :class:`~repro.check.flow.FlowProgram`
 over the whole tree and runs the flow-scoped rules against it
 (docs/FLOWCHECK.md).  Flow findings honor the same inline-suppression
-syntax, plus a checked-in baseline file (``.reprolint-baseline.json``)
-for grandfathered findings.
+syntax.
 
 The parent also audits the suppressions themselves: a ``disable=``
 comment (or ``# flowcheck:`` annotation) that suppresses nothing
@@ -36,13 +35,9 @@ from .rules import ModuleSource, ProjectRule, all_rules, get_rule
 #: Repo-relative directories lint walks for Python files by default.
 DEFAULT_LINT_DIRS = ("src/repro", "scripts")
 
-#: Repo-relative path of the grandfathered-findings baseline.
-BASELINE_NAME = ".reprolint-baseline.json"
-
 #: Pseudo-rule ids minted by the driver itself (not in the registry).
 SYNTAX_RULE = "syntax-error"
 STALE_RULE = "stale-suppression"
-STALE_BASELINE_RULE = "stale-baseline"
 
 
 def repo_root(start: Optional[Path] = None) -> Path:
@@ -69,12 +64,11 @@ class LintReport:
     """Outcome of one lint run."""
 
     def __init__(self, findings: Sequence[Finding], suppressed: int,
-                 n_files: int, n_rules: int, baselined: int = 0) -> None:
+                 n_files: int, n_rules: int) -> None:
         self.findings = sorted(findings)
         self.suppressed = suppressed
         self.n_files = n_files
         self.n_rules = n_rules
-        self.baselined = baselined
 
     @property
     def errors(self) -> List[Finding]:
@@ -93,8 +87,6 @@ class LintReport:
         lines = [format_finding(finding) for finding in self.findings]
         status = "OK" if self.ok else f"{len(self.errors)} error(s)"
         suffix = f", {self.suppressed} suppressed" if self.suppressed else ""
-        if self.baselined:
-            suffix += f", {self.baselined} baselined"
         lines.append(
             f"reprolint: {status} ({self.n_files} files, "
             f"{self.n_rules} rules{suffix})")
@@ -155,59 +147,6 @@ def lint_file(path: str, root: str,
     return result.kept, len(result.suppressed)
 
 
-def load_baseline(path: Path) -> List[dict]:
-    """Entries of a baseline file; [] when the file does not exist."""
-    if not Path(path).is_file():
-        return []
-    doc = json.loads(Path(path).read_text())
-    return list(doc.get("findings", ()))
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    """Write the grandfathered-findings baseline for ``findings``."""
-    entries = [{"path": f.path, "rule": f.rule, "message": f.message}
-               for f in sorted(findings)]
-    doc = {"schema": "reprolint-baseline/1", "findings": entries}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _baseline_key(finding: Finding) -> Tuple[str, str, str]:
-    # line numbers shift on every edit; path+rule+message is stable
-    return (finding.path, finding.rule, finding.message)
-
-
-def _apply_baseline(findings: List[Finding], entries: List[dict],
-                    warn_stale: bool) -> Tuple[List[Finding], int,
-                                               List[Finding]]:
-    """(kept, baselined count, stale-baseline warnings)."""
-    allowed: Dict[Tuple[str, str, str], int] = {}
-    for entry in entries:
-        key = (entry.get("path", ""), entry.get("rule", ""),
-               entry.get("message", ""))
-        allowed[key] = allowed.get(key, 0) + 1
-    kept: List[Finding] = []
-    baselined = 0
-    for finding in findings:
-        key = _baseline_key(finding)
-        if allowed.get(key, 0) > 0:
-            allowed[key] -= 1
-            baselined += 1
-        else:
-            kept.append(finding)
-    warnings: List[Finding] = []
-    if warn_stale:
-        for (path, rule, message), count in sorted(allowed.items()):
-            if count > 0:
-                warnings.append(Finding(
-                    path=BASELINE_NAME, line=1, rule=STALE_BASELINE_RULE,
-                    severity="warning",
-                    message=(f"baseline entry matches no current finding "
-                             f"({path}: [{rule}] {message[:60]}…); "
-                             f"regenerate with lint --deep "
-                             f"--write-baseline")))
-    return kept, baselined, warnings
-
-
 def _stale_suppression_findings(
         results: Sequence[FileResult],
         candidate_ids: Set[str],
@@ -242,7 +181,6 @@ def run_lint(root: Optional[Path] = None,
              rules: Optional[Sequence[str]] = None,
              jobs: int = 1,
              deep: bool = False,
-             use_baseline: bool = True,
              dump_callgraph: Optional[Path] = None) -> LintReport:
     """Lint the tree (or an explicit file list) and return the report.
 
@@ -276,7 +214,6 @@ def run_lint(root: Optional[Path] = None,
     for rule in project_rules:
         findings.extend(rule.check_project(root))
 
-    baselined = 0
     flow_suppressed: Dict[str, List[Finding]] = {}
     if flow_rules or dump_callgraph is not None:
         from .flow import FlowProgram
@@ -285,7 +222,6 @@ def run_lint(root: Optional[Path] = None,
         for rule in flow_rules:
             flow_findings.extend(rule.check_flow(program))
         sources: Dict[str, Optional[ModuleSource]] = {}
-        kept_flow: List[Finding] = []
         for finding in sorted(flow_findings):
             module = _module_for(finding.path, root, sources)
             if module is not None and module.suppressed(finding.line,
@@ -293,13 +229,7 @@ def run_lint(root: Optional[Path] = None,
                 flow_suppressed.setdefault(finding.path, []).append(finding)
                 suppressed += 1
             else:
-                kept_flow.append(finding)
-        if use_baseline:
-            entries = load_baseline(root / BASELINE_NAME)
-            kept_flow, baselined, stale = _apply_baseline(
-                kept_flow, entries, warn_stale=full_run and deep)
-            findings.extend(stale)
-        findings.extend(kept_flow)
+                findings.append(finding)
         if full_run:
             for relpath, note in program.unconsumed_annotations():
                 findings.append(Finding(
@@ -321,7 +251,7 @@ def run_lint(root: Optional[Path] = None,
             results, candidate_ids, flow_suppressed))
 
     return LintReport(findings, suppressed, n_files=len(paths),
-                      n_rules=len(selected), baselined=baselined)
+                      n_rules=len(selected))
 
 
 def _module_for(relpath: str, root: Path,

@@ -5,7 +5,7 @@ graph, and interprocedural fixpoints on top of the per-file lint
 framework, powering the ``--deep`` rules: ``determinism-taint``,
 ``shared-state-race``, and ``exception-escape``.  See docs/FLOWCHECK.md
 for the engine design, the source/sink/boundary tables, and the
-annotation + baseline workflow.
+annotation workflow.
 """
 
 from .engine import FlowProgram

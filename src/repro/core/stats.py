@@ -11,8 +11,8 @@ hot-path ``+=`` sites stay native speed), and the class is rebased onto
 the observability layer two ways without changing its public API:
 
 * every counter site in the controller has a matching
-  :mod:`repro.obs.tracer` event emit (linted by
-  ``scripts/check_instrumentation.py``), so the aggregate counters and
+  :mod:`repro.obs.tracer` event emit (linted by the ``stats-emit``
+  rule, docs/LINTING.md), so the aggregate counters and
   the event timeline reconcile exactly;
 * :meth:`ControllerStats.bind_registry` publishes every counter and
   derived aggregate into a :class:`repro.obs.metrics.MetricRegistry`

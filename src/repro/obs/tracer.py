@@ -20,9 +20,10 @@ Two implementations share one interface:
 Event names are registered in :data:`EVENT_SOURCES`, which maps each
 to the §IV extra-access source it contributes to (``"split"``,
 ``"overflow"``, ``"metadata"``) or ``None`` for purely informational
-events.  ``scripts/check_instrumentation.py`` lints that every
-``stats.<counter> +=`` site in ``core/`` has an adjacent emit and that
-every emitted name is registered here.
+events.  The ``stats-emit`` and ``emit-registered`` lint rules
+(docs/LINTING.md) check that every ``stats.<counter> +=`` site in
+``core/`` has an adjacent emit and that every emitted name is
+registered here.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ lets two runs be compared with statistical rigor:
 * :mod:`repro.results.index` — ``ResultsIndex``, a SQLite database
   (``results_index.sqlite``; tables ``runs``, ``units``, ``metrics``)
   with an idempotent journal ingester;
-* :mod:`repro.results.stats` — dependency-free sample statistics:
-  bootstrap confidence intervals, Welch's t, permutation and
-  Mann-Whitney significance tests sized for a handful of seeds;
+* :mod:`repro.results.stats` — dependency-free sample statistics and
+  a permutation significance test sized for a handful of seeds;
 * :mod:`repro.results.compare` — per-(unit, metric) verdicts with
   good-direction gating, the heart of
   ``python -m repro.analysis compare``;
@@ -31,14 +30,11 @@ from .compare import (
 from .index import DEFAULT_DB_PATH, NO_SEED, ResultsIndex, flatten_metrics
 from .stats import (
     Significance,
-    bootstrap_ci,
-    mann_whitney,
     mean,
     min_achievable_p,
     permutation_test,
     significance,
     stddev,
-    welch_t,
 )
 
 __all__ = [
@@ -49,10 +45,8 @@ __all__ = [
     "NO_SEED",
     "ResultsIndex",
     "Significance",
-    "bootstrap_ci",
     "compare_runs",
     "flatten_metrics",
-    "mann_whitney",
     "mean",
     "metric_direction",
     "min_achievable_p",
@@ -60,5 +54,4 @@ __all__ = [
     "render_comparison",
     "significance",
     "stddev",
-    "welch_t",
 ]

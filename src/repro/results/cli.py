@@ -145,9 +145,6 @@ def compare_main(argv: Optional[List[str]] = None) -> int:
                         help="threshold used instead of a significance "
                              "test when either run has one seed "
                              f"(default: {DEFAULT_SINGLE_SAMPLE_EFFECT})")
-    parser.add_argument("--method", default="permutation",
-                        choices=("permutation", "mann-whitney"),
-                        help="significance test (default: permutation)")
     parser.add_argument("--seed", type=int, default=0,
                         help="resampling seed for the permutation test "
                              "(default: 0)")
@@ -179,7 +176,7 @@ def compare_main(argv: Optional[List[str]] = None) -> int:
                 index, args.run_a, args.run_b, metrics=metrics,
                 alpha=args.alpha, min_effect=args.min_effect,
                 single_sample_effect=args.single_sample_effect,
-                method=args.method, seed=args.seed)
+                seed=args.seed)
         except KeyError as exc:
             parser.error(str(exc.args[0]) if exc.args else str(exc))
     print(render_comparison(comparison, verbose=args.verbose))

@@ -98,10 +98,9 @@ class Comparison:
 
 def _judge(unit: str, metric: str, a: Sequence[float],
            b: Sequence[float], alpha: float, min_effect: float,
-           single_sample_effect: float, method: str,
-           seed: int) -> MetricVerdict:
+           single_sample_effect: float, seed: int) -> MetricVerdict:
     direction = metric_direction(metric)
-    verdict = significance(a, b, alpha=alpha, method=method, seed=seed)
+    verdict = significance(a, b, alpha=alpha, seed=seed)
     powerless = (verdict.test == "none"
                  or min_achievable_p(verdict.n_a, verdict.n_b) > alpha)
     if powerless and verdict.diff != 0.0:
@@ -132,7 +131,6 @@ def compare_runs(index: ResultsIndex, run_a: str, run_b: str,
                  min_effect: float = DEFAULT_MIN_EFFECT,
                  single_sample_effect: float =
                  DEFAULT_SINGLE_SAMPLE_EFFECT,
-                 method: str = "permutation",
                  seed: int = 0) -> Comparison:
     """Compare baseline ``run_a`` against candidate ``run_b``.
 
@@ -148,7 +146,7 @@ def compare_runs(index: ResultsIndex, run_a: str, run_b: str,
     verdicts = [
         _judge(unit, metric, samples_a[(unit, metric)],
                samples_b[(unit, metric)], alpha, min_effect,
-               single_sample_effect, method, seed)
+               single_sample_effect, seed)
         for unit, metric in shared
     ]
     return Comparison(

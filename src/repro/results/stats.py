@@ -6,15 +6,11 @@ the sample counts involved (a handful of seeds per experiment cell)
 make vectorization pointless anyway.  Provided:
 
 * :func:`mean` / :func:`stddev` — sample moments (n-1 denominator);
-* :func:`bootstrap_ci` — percentile bootstrap confidence interval for
-  the mean, seeded and deterministic;
-* :func:`welch_t` — Welch's unequal-variance t statistic with the
-  Welch–Satterthwaite degrees of freedom;
 * :func:`permutation_test` — exact (small n) or sampled two-sided
   permutation test on the difference of means;
-* :func:`mann_whitney` — Mann-Whitney U with tie-corrected normal
-  approximation;
-* :func:`significance` — the combined verdict
+* :func:`min_achievable_p` — the smallest p-value that test can reach
+  at a given sample size;
+* :func:`significance` — the verdict
   ``python -m repro.analysis compare`` gates on.
 """
 
@@ -24,13 +20,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 #: Below this many total observations the permutation test enumerates
 #: every reassignment exactly instead of sampling.
 EXACT_PERMUTATION_LIMIT = 12
 
-#: Resamples used by the sampled permutation test and the bootstrap.
+#: Resamples used by the sampled permutation test.
 DEFAULT_RESAMPLES = 2000
 
 
@@ -48,57 +44,6 @@ def stddev(values: Sequence[float]) -> float:
     center = mean(values)
     return math.sqrt(sum((v - center) ** 2 for v in values)
                      / (len(values) - 1))
-
-
-def _normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def bootstrap_ci(values: Sequence[float], confidence: float = 0.95,
-                 n_resamples: int = DEFAULT_RESAMPLES,
-                 seed: int = 0) -> Tuple[float, float]:
-    """Percentile-bootstrap confidence interval for the mean.
-
-    Deterministic for a given ``seed``.  With fewer than two samples
-    the interval collapses to the (single or zero) observed value.
-    """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    values = list(values)
-    if len(values) < 2:
-        point = mean(values)
-        return (point, point)
-    rng = random.Random(seed)
-    n = len(values)
-    resampled = sorted(
-        mean([values[rng.randrange(n)] for _ in range(n)])
-        for _ in range(max(1, n_resamples)))
-    tail = (1.0 - confidence) / 2.0
-    lo_index = int(tail * len(resampled))
-    hi_index = min(len(resampled) - 1,
-                   int((1.0 - tail) * len(resampled)))
-    return (resampled[lo_index], resampled[hi_index])
-
-
-def welch_t(a: Sequence[float], b: Sequence[float]
-            ) -> Tuple[float, float]:
-    """Welch's t statistic and Welch–Satterthwaite degrees of freedom.
-
-    Returns ``(0.0, 0.0)`` when either group has fewer than two
-    samples or both groups have zero variance.
-    """
-    a, b = list(a), list(b)
-    if len(a) < 2 or len(b) < 2:
-        return (0.0, 0.0)
-    var_a, var_b = stddev(a) ** 2, stddev(b) ** 2
-    se_a, se_b = var_a / len(a), var_b / len(b)
-    denom = se_a + se_b
-    if denom == 0.0:
-        return (0.0, 0.0)
-    t = (mean(a) - mean(b)) / math.sqrt(denom)
-    df = denom ** 2 / (se_a ** 2 / (len(a) - 1)
-                       + se_b ** 2 / (len(b) - 1))
-    return (t, df)
 
 
 def permutation_test(a: Sequence[float], b: Sequence[float],
@@ -160,45 +105,6 @@ def min_achievable_p(n_a: int, n_b: int) -> float:
     return 2.0 / math.comb(n_a + n_b, n_a)
 
 
-def mann_whitney(a: Sequence[float], b: Sequence[float]
-                 ) -> Tuple[float, float]:
-    """Mann-Whitney U and its two-sided normal-approximation p-value.
-
-    Midranks handle ties, and the variance carries the tie correction.
-    Returns ``(U, 1.0)`` when either group has fewer than two samples
-    or every observation is identical.
-    """
-    a, b = list(a), list(b)
-    n_a, n_b = len(a), len(b)
-    pooled = sorted((value, 0 if i < n_a else 1)
-                    for i, value in enumerate(a + b))
-    ranks: List[float] = [0.0] * len(pooled)
-    tie_term = 0.0
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j < len(pooled) and pooled[j][0] == pooled[i][0]:
-            j += 1
-        midrank = (i + j + 1) / 2.0    # ranks are 1-based
-        for k in range(i, j):
-            ranks[k] = midrank
-        count = j - i
-        tie_term += count ** 3 - count
-        i = j
-    rank_sum_a = sum(rank for rank, (_, group) in zip(ranks, pooled)
-                     if group == 0)
-    u_a = rank_sum_a - n_a * (n_a + 1) / 2.0
-    u = min(u_a, n_a * n_b - u_a)
-    if n_a < 2 or n_b < 2:
-        return (u, 1.0)
-    n = n_a + n_b
-    variance = (n_a * n_b / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
-    if variance <= 0.0:
-        return (u, 1.0)
-    z = (u - n_a * n_b / 2.0 + 0.5) / math.sqrt(variance)
-    return (u, max(0.0, min(1.0, 2.0 * _normal_cdf(z))))
-
-
 @dataclass(frozen=True)
 class Significance:
     """Verdict of one two-group comparison."""
@@ -213,23 +119,19 @@ class Significance:
     relative: float
     #: Two-sided p-value; 1.0 when significance cannot be assessed.
     p_value: float
-    #: Which test produced ``p_value`` (``permutation``,
-    #: ``mann-whitney`` or ``none``).
+    #: Which test produced ``p_value`` (``permutation`` or ``none``).
     test: str
     significant: bool
 
 
 def significance(a: Sequence[float], b: Sequence[float],
-                 alpha: float = 0.05, method: str = "permutation",
-                 seed: int = 0) -> Significance:
+                 alpha: float = 0.05, seed: int = 0) -> Significance:
     """Compare baseline samples ``a`` against candidate samples ``b``.
 
-    ``method`` selects :func:`permutation_test` (default) or
-    :func:`mann_whitney`.  Groups with fewer than two samples are
-    never significant — a single seed cannot witness noise.
+    The p-value comes from :func:`permutation_test`.  Groups with fewer
+    than two samples are never significant — a single seed cannot
+    witness noise.
     """
-    if method not in ("permutation", "mann-whitney"):
-        raise ValueError(f"unknown method {method!r}")
     a, b = list(a), list(b)
     mean_a, mean_b = mean(a), mean(b)
     diff = mean_b - mean_a
@@ -237,24 +139,18 @@ def significance(a: Sequence[float], b: Sequence[float],
     if len(a) < 2 or len(b) < 2:
         return Significance(len(a), len(b), mean_a, mean_b, diff,
                             relative, 1.0, "none", False)
-    if method == "mann-whitney":
-        _, p_value = mann_whitney(a, b)
-    else:
-        p_value = permutation_test(a, b, seed=seed)
+    p_value = permutation_test(a, b, seed=seed)
     return Significance(len(a), len(b), mean_a, mean_b, diff, relative,
-                        p_value, method, p_value < alpha)
+                        p_value, "permutation", p_value < alpha)
 
 
 __all__ = [
     "DEFAULT_RESAMPLES",
     "EXACT_PERMUTATION_LIMIT",
     "Significance",
-    "bootstrap_ci",
-    "mann_whitney",
     "mean",
     "min_achievable_p",
     "permutation_test",
     "significance",
     "stddev",
-    "welch_t",
 ]

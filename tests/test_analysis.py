@@ -19,15 +19,30 @@ TINY = ExperimentScale(n_events=400, scale=0.02, capacity_touches=2000,
 
 class TestReport:
     def test_render_basic(self):
+        columns = ["name", "value", "lcp+align:overall"]   # 17 characters
         result = ExperimentResult(
-            experiment_id="x", title="demo", columns=["name", "value"])
-        result.add_row(name="a", value=1.5)
+            experiment_id="x", title="demo", columns=columns)
+        result.add_row(name="a", value=1.5, **{"lcp+align:overall": 0.25})
+        result.add_row(name="metadata_cache_area_um2", value=100000.0,
+                       **{"lcp+align:overall": 0.5})
         result.summary["mean"] = 1.5
+        result.summary["compresso cycle mean"] = 0.77       # 20 characters
         result.paper_values["expected"] = "about 1.5"
         text = render(result)
         assert "demo" in text
         assert "1.500" in text
         assert "about 1.5" in text
+        lines = text.splitlines()
+        header = lines[1]
+        assert header.split() == columns
+        # Every row value sits right-aligned under its header.
+        assert [len(row) for row in lines[3:5]] == [len(header)] * 2
+        assert lines[3].split() == ["a", "1.500", "0.250"]
+        assert lines[4].split() == ["metadata_cache_area_um2", "100000.000",
+                                    "0.500"]
+        summary = next(line for line in lines
+                       if line.startswith("compresso cycle mean"))
+        assert summary.split() == ["compresso", "cycle", "mean", "0.770"]
 
     def test_column_values_skips_non_numeric(self):
         result = ExperimentResult("x", "t", ["name", "v"])
@@ -62,3 +77,42 @@ class TestRunners:
         from repro.analysis import DEFAULT, FULL, QUICK
         assert QUICK.n_events < DEFAULT.n_events < FULL.n_events
         assert len(QUICK.benchmarks) < len(DEFAULT.benchmarks)
+
+
+class TestClaims:
+    """The paper-claim table and the gate ``run`` applies with it."""
+
+    SEC7 = ["run", "--no-journal", "--no-cache", "--filter", "sec7"]
+
+    def test_table_shape(self):
+        from repro.analysis.__main__ import RUNNERS
+        from repro.analysis.claims import CLAIMS
+        assert len(CLAIMS) == 30
+        ids = [claim.claim_id for claim in CLAIMS]
+        assert len(set(ids)) == len(ids)
+        assert {claim.experiment for claim in CLAIMS} <= set(RUNNERS)
+
+    def test_run_reports_holding_claims(self, tmp_path, monkeypatch,
+                                        capsys):
+        from repro.analysis.__main__ import main
+        monkeypatch.chdir(tmp_path)
+        assert main(self.SEC7) == 0
+        assert "claims: 5/5 hold" in capsys.readouterr().out
+
+    def test_run_fails_on_flipped_claim(self, tmp_path, monkeypatch,
+                                        capsys):
+        import repro.analysis.__main__ as cli
+
+        def flipped_sec7(runner=None):
+            result = run_sec7_energy_area(runner=runner)
+            for row in result.rows:
+                if row["quantity"] == "adder_visible_cycles":
+                    row["value"] = 2
+            return result
+
+        monkeypatch.setitem(cli.RUNNERS, "sec7", flipped_sec7)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(self.SEC7) == 1
+        out = capsys.readouterr().out
+        assert "claims: 4/5 hold" in out
+        assert "claim flipped: sec7.adder-visible-cycles" in out

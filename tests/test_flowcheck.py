@@ -3,7 +3,7 @@
 Three layers: the repo itself must pass ``lint --deep`` (the tier-1
 acceptance gate), golden sandbox trees prove each flow rule catches a
 seeded violation that the per-file rules provably miss, and the
-engine/driver mechanics (symbol resolution, CHA dispatch, baseline,
+engine/driver mechanics (symbol resolution, CHA dispatch,
 stale suppressions, syntax-error workers, --jobs parity, ci.sh) get
 targeted coverage.
 """
@@ -16,7 +16,7 @@ import subprocess
 import pytest
 
 from repro.analysis.__main__ import main as analysis_main
-from repro.check import run_lint, write_baseline
+from repro.check import run_lint
 from repro.check.driver import discover_files, lint_file, repo_root
 from repro.check.flow import FlowProgram, flow_rule_ids
 from repro.check.rules import all_rules
@@ -49,17 +49,9 @@ def repo_deep_report():
 
 
 def test_repo_deep_lint_clean(repo_deep_report):
-    """tier-1 gate: zero unbaselined findings under ``lint --deep``."""
+    """tier-1 gate: zero error findings under ``lint --deep``."""
     assert repo_deep_report.errors == [], repo_deep_report.render()
     assert repo_deep_report.exit_code == 0
-
-
-def test_repo_baseline_is_empty(repo_deep_report):
-    """The checked-in baseline grandfathers nothing."""
-    assert repo_deep_report.baselined == 0
-    doc = json.loads((ROOT / ".reprolint-baseline.json").read_text())
-    assert doc["schema"] == "reprolint-baseline/1"
-    assert doc["findings"] == []
 
 
 def test_repo_deep_parallel_matches_serial():
@@ -369,30 +361,6 @@ def test_dump_callgraph_artifact(tmp_path):
     record = next(f for f in doc["functions"]
                   if f["qual"] == "repro.analysis.app.record")
     assert "repro.analysis.app.jitter" in record["calls"]
-
-
-# ---------------------------------------------------------------------------
-# baseline workflow
-# ---------------------------------------------------------------------------
-
-def test_baseline_grandfathers_and_goes_stale(tmp_path):
-    root = _taint_sandbox(tmp_path)
-    raw = run_lint(root=root, deep=True, use_baseline=False)
-    hits = _flow_findings(raw, "determinism-taint")
-    assert len(hits) == 1
-
-    write_baseline(root / ".reprolint-baseline.json", hits)
-    clean = run_lint(root=root, deep=True)
-    assert _flow_findings(clean, "determinism-taint") == []
-    assert clean.baselined == 1
-
-    # fix the code: the entry goes stale and warns, never blocks
-    _write(root, "src/repro/analysis/app.py", TAINT_APP_SRC.replace(
-        "    return time.perf_counter()", "    return 0.0"))
-    after = run_lint(root=root, deep=True)
-    assert _flow_findings(after, "determinism-taint") == []
-    stale = [f for f in after.findings if f.rule == "stale-baseline"]
-    assert len(stale) == 1 and stale[0].severity == "warning"
 
 
 # ---------------------------------------------------------------------------
