@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
 # CI entrypoint: the exact checks a PR must pass, in fail-fast order.
 #
-#   scripts/ci.sh                 # full run: lint --deep, tier-1 pytest,
+#   scripts/ci.sh                 # full run: lint, tier-1 pytest,
 #                                 # perf harness tests, paper-claim sweep
-#   CI_JOBS=8 scripts/ci.sh       # parallel lint and sweep fan-out
+#   CI_JOBS=8 scripts/ci.sh       # parallel sweep fan-out
 #   CI_SKIP_TESTS=1 scripts/ci.sh # lint only (used by the ci.sh test
 #                                 # itself, which already runs under pytest)
 #
-# Documented in README.md; tests/test_flowcheck.py asserts this script
+# Documented in README.md; tests/test_lint.py asserts this script
 # stays executable and green.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "ci: reprolint (--deep, whole-program flow rules)"
-python -m repro.analysis lint --deep --jobs "${CI_JOBS:-4}"
+echo "ci: reprolint"
+python -m repro.analysis lint
 
 if [ -z "${CI_SKIP_TESTS:-}" ]; then
     echo "ci: tier-1 pytest"

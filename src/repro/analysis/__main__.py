@@ -38,8 +38,8 @@ The ``lint`` subcommand (docs/LINTING.md) runs the reprolint static
 checks over the tree and exits nonzero on any error finding::
 
     python -m repro.analysis lint
-    python -m repro.analysis lint --jobs 4
     python -m repro.analysis lint --rules stats-emit,emit-registered
+    python -m repro.analysis lint src/repro/core/controller.py
 
 The ``index`` and ``compare`` subcommands (docs/RESULTS.md) maintain
 the cross-run SQLite results index and the statistical regression
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
@@ -236,7 +235,6 @@ def _run_command(argv) -> int:
         scale = dataclasses.replace(scale, faults=args.inject)
     started = time.time()
     if journal is not None:
-        # reprolint: disable=determinism-taint -- wall-clock duration is journaled as provenance, never as a result
         journal.event("run_start", jobs=runner.jobs,
                       cache_enabled=cache is not None,
                       experiments=names, scale=args.scale,
@@ -352,34 +350,20 @@ def _lint_command(argv) -> int:
         description="AST-based invariant lint over the tree "
                     "(docs/LINTING.md).",
     )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="lint files in N worker processes "
-                             "(default: 1, serial)")
     parser.add_argument("--rules", default=None, metavar="ID[,ID...]",
                         help="run only these rule ids (default: all)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-    parser.add_argument("--deep", action="store_true",
-                        help="also run the whole-program flow rules "
-                             "(docs/FLOWCHECK.md)")
-    parser.add_argument("--sarif", default=None, metavar="PATH",
-                        help="write findings as SARIF-lite JSON to PATH")
-    parser.add_argument("--dump-callgraph", default=None, metavar="PATH",
-                        nargs="?", const="callgraph.json",
-                        help="with --deep: dump the resolved call graph "
-                             "as JSON (default: callgraph.json)")
     parser.add_argument("paths", nargs="*", metavar="PATH",
                         help="files to lint (default: src/repro + scripts)")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
-    from ..check import all_rules, run_lint, to_sarif
+    from ..check import all_rules, run_lint
+    from ..check.driver import repo_root
 
     if args.list_rules:
         for rule in all_rules():
-            scope = rule.scope
-            print(f"{rule.id:24s} {rule.severity:8s} {scope:8s} "
+            print(f"{rule.id:24s} {rule.severity:8s} {rule.scope:8s} "
                   f"{rule.description}")
         return 0
 
@@ -387,13 +371,21 @@ def _lint_command(argv) -> int:
     if args.rules:
         rules = [rule_id.strip() for rule_id in args.rules.split(",")
                  if rule_id.strip()]
-    files = [Path(p) for p in args.paths] or None
-    dump = Path(args.dump_callgraph) if args.dump_callgraph else None
-    report = run_lint(files=files, rules=rules, jobs=args.jobs,
-                      deep=args.deep, dump_callgraph=dump)
-    if args.sarif:
-        Path(args.sarif).write_text(
-            json.dumps(to_sarif(report.findings), indent=2) + "\n")
+        known = [rule.id for rule in all_rules()]
+        unknown = [rule_id for rule_id in rules if rule_id not in known]
+        if unknown:
+            parser.error(f"unknown rule id(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(known)}")
+    root = repo_root()
+    files = []
+    for raw in args.paths:
+        path = Path(raw).resolve()
+        if not path.is_file():
+            parser.error(f"no such file: {raw}")
+        if root not in path.parents:
+            parser.error(f"{raw} is outside the repository ({root})")
+        files.append(path)
+    report = run_lint(root=root, files=files or None, rules=rules)
     print(report.render())
     return report.exit_code
 

@@ -4,7 +4,7 @@ Two complementary checking layers keep the reproduction honest as the
 codebase grows:
 
 * **reprolint** — an AST-based lint framework: a :class:`Rule`
-  registry, a per-file visitor driver with parallel fan-out, structured
+  registry, a serial per-file visitor driver, structured
   :class:`Finding` objects, and inline ``# reprolint: disable=<id>``
   suppressions.  The built-in rule set enforces repo invariants that
   regexes used to approximate (``repro.check.builtin_rules``).
@@ -21,8 +21,8 @@ module scope, so the controller can import the sanitizer without an
 import cycle; rules that inspect core types import them lazily.
 """
 
-from .driver import LintReport, lint_file, lint_file_detail, run_lint
-from .findings import SEVERITIES, Finding, format_finding, to_sarif
+from .driver import LintReport, lint_file_detail, run_lint
+from .findings import SEVERITIES, Finding, format_finding
 from .rules import ModuleSource, ProjectRule, Rule, all_rules, get_rule, register
 from .sanitizer import InvariantViolation, MemorySanitizer, SanitizerError
 
@@ -39,9 +39,7 @@ __all__ = [
     "all_rules",
     "format_finding",
     "get_rule",
-    "lint_file",
     "lint_file_detail",
     "register",
     "run_lint",
-    "to_sarif",
 ]

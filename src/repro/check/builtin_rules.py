@@ -26,7 +26,7 @@ HOT_PATH_DIRS = ("src/repro/core", "src/repro/memory", "src/repro/compression",
 #: Markdown files whose relative links must resolve.
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/RUNNER.md",
         "docs/OBSERVABILITY.md", "docs/LINTING.md", "docs/ROBUSTNESS.md",
-        "docs/RESULTS.md", "docs/PRESSURE.md", "docs/FLOWCHECK.md")
+        "docs/RESULTS.md", "docs/PRESSURE.md")
 
 #: (module path, class name) pairs whose public fields must be named in
 #: the documentation set scanned by ``config-knob-documented``.

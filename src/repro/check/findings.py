@@ -2,9 +2,8 @@
 
 A :class:`Finding` is the unit every rule reports: repo-relative path,
 1-based line, the rule id that fired, a severity, and a human message.
-Findings are frozen dataclasses so they sort deterministically, hash
-into sets (the parallel driver deduplicates on merge), and cross the
-``multiprocessing`` boundary by value.
+Findings are frozen dataclasses so they sort deterministically and
+compare by value.
 """
 
 from __future__ import annotations
@@ -36,38 +35,3 @@ def format_finding(finding: Finding) -> str:
     location = f"{finding.path}:{finding.line}" if finding.line else finding.path
     return f"{location}: [{finding.rule}] {finding.severity}: {finding.message}"
 
-
-def to_sarif(findings) -> dict:
-    """SARIF-lite: the subset of SARIF 2.1.0 CI viewers consume.
-
-    One run, one result per finding, rule ids as ruleId, severity
-    mapped onto SARIF levels.  Deterministic (findings sorted) so the
-    artifact diffs cleanly between lint runs.
-    """
-    results = []
-    rules_seen = {}
-    for finding in sorted(findings):
-        rules_seen.setdefault(finding.rule, {"id": finding.rule})
-        results.append({
-            "ruleId": finding.rule,
-            "level": "error" if finding.severity == "error" else "warning",
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {"startLine": max(finding.line, 1)},
-                },
-            }],
-        })
-    return {
-        "version": "2.1.0",
-        "$schema": ("https://json.schemastore.org/sarif-2.1.0.json"),
-        "runs": [{
-            "tool": {"driver": {
-                "name": "reprolint",
-                "rules": [rules_seen[rule_id]
-                          for rule_id in sorted(rules_seen)],
-            }},
-            "results": results,
-        }],
-    }

@@ -25,13 +25,38 @@ from __future__ import annotations
 
 import abc
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
 
 from .findings import Finding
 
 _SUPPRESS = re.compile(r"#\s*reprolint:\s*disable=([\w,\-]+)")
+
+
+def comment_tokens(text: str) -> List[Tuple[int, str, bool]]:
+    """(line, comment text, standalone?) for every real comment.
+
+    Tokenized, not regex-scanned, so comment-shaped strings inside
+    docstrings do not register.  Falls back to a line scan when the
+    file does not tokenize (syntax errors still deserve suppression
+    handling).
+    """
+    out: List[Tuple[int, str, bool]] = []
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.COMMENT:
+                line_text = tok.line[:tok.start[1]].strip()
+                out.append((tok.start[0], tok.string, line_text == ""))
+    except (tokenize.TokenError, SyntaxError, IndentationError):
+        out = []
+        for number, line in enumerate(text.splitlines(), start=1):
+            if "#" in line:
+                idx = line.index("#")
+                out.append((number, line[idx:], line[:idx].strip() == ""))
+    return out
 
 
 class SuppressionComment:
@@ -75,7 +100,6 @@ class ModuleSource:
         """Every ``disable=`` comment, from real COMMENT tokens only —
         a comment-shaped string inside a docstring does not count."""
         if self._comments is None:
-            from .flow.symbols import comment_tokens
             out: List[SuppressionComment] = []
             for number, comment, standalone in comment_tokens(self.text):
                 match = _SUPPRESS.search(comment)
@@ -99,10 +123,8 @@ class ModuleSource:
         if self._suppressions is None:
             table: Dict[int, Set[str]] = {}
             for comment in self.suppression_comments:
-                table.setdefault(comment.line, set()).update(comment.ids)
-                if comment.standalone:
-                    table.setdefault(comment.line + 1,
-                                     set()).update(comment.ids)
+                for line in comment.covered_lines():
+                    table.setdefault(line, set()).update(comment.ids)
             self._suppressions = table
         return self._suppressions
 
@@ -189,7 +211,6 @@ def get_rule(rule_id: str) -> Rule:
 def _ensure_builtins() -> None:
     """Import the built-in rule modules so their @register calls run."""
     from . import builtin_rules  # noqa: F401
-    from .flow import rules as flow_rules  # noqa: F401
 
 
 def walk_calls(tree: ast.AST) -> Iterator[ast.Call]:

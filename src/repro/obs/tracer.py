@@ -217,7 +217,6 @@ class Tracer:
 
     enabled = True
 
-    # flowcheck: boundary(epoch is wall-clock phase profiling; the event timeline runs on the simulated clock)
     def __init__(self, digest_window: int = 1000) -> None:
         if digest_window <= 0:
             raise ValueError("digest window must be positive")

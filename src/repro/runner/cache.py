@@ -78,7 +78,6 @@ class ResultCache:
             return None
         return payload["result"]
 
-    # flowcheck: boundary(created timestamp is cache-entry provenance; results are keyed by content hash)
     def put(self, key: str, unit: WorkUnit, result: Any) -> None:
         """Persist ``result`` for ``key`` atomically."""
         self.root.mkdir(parents=True, exist_ok=True)

@@ -294,7 +294,6 @@ class Runner:
                                 f":{task.attempt}")
             delay *= 0.5 + rng.random()
             if self.journal is not None:
-                # reprolint: disable=determinism-taint -- retry deadline/delay are wall-clock provenance on the unit_retry event
                 self.journal.event(
                     "unit_retry", unit=task.unit.label,
                     experiment=task.unit.experiment, key=task.key,

@@ -154,13 +154,11 @@ _OPTIONAL_FIELDS: Dict[str, Dict[str, Any]] = {
 class RunJournal:
     """Append-only JSONL event log for one (or more) runner invocations."""
 
-    # flowcheck: boundary(run_id is deliberately unique per invocation; it labels provenance, not results)
     def __init__(self, path: str | Path = DEFAULT_JOURNAL_PATH,
                  run_id: Optional[str] = None) -> None:
         self.path = Path(path)
         self.run_id = run_id or uuid.uuid4().hex[:12]
 
-    # flowcheck: boundary(ts field is wall-clock provenance by design; simulated results never read it)
     def event(self, event: str, **fields: Any) -> Dict[str, Any]:
         """Append one event; returns the record written.
 

@@ -1,6 +1,9 @@
 """Tests for the parallel experiment runner, cache and journal."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -133,6 +136,42 @@ class TestParallel:
         parallel = run_fig2(TINY, runner=Runner(jobs=4))
         assert json.dumps(serial.rows) == json.dumps(parallel.rows)
         assert json.dumps(serial.summary) == json.dumps(parallel.summary)
+
+    def test_results_independent_of_hash_seed(self):
+        """Same digests under PYTHONHASHSEED=0 and =1, in fresh processes.
+
+        Iterating a set or a str-keyed hash anywhere between the scale and
+        the result would reorder rows or change sums across hash seeds;
+        fig2 runs four benchmarks so a set-ordered unit list shows up.
+        """
+        scale = replace(TINY, benchmarks=("gcc", "mcf", "libquantum",
+                                          "omnetpp"))
+        probe = (
+            "import hashlib, json\n"
+            "from repro.analysis import (ExperimentScale, run_fig2,\n"
+            "    run_ablation_design_space, run_sec7_energy_area)\n"
+            "from repro.runner import Runner\n"
+            f"scale = {scale!r}\n"
+            "results = [run_fig2(scale, runner=Runner(jobs=1)),\n"
+            "           run_ablation_design_space(scale, runner=Runner(jobs=1)),\n"
+            "           run_sec7_energy_area(runner=Runner(jobs=1))]\n"
+            "doc = json.dumps([[r.rows, r.summary] for r in results],\n"
+            "                 sort_keys=True)\n"
+            "print(hashlib.sha256(doc.encode()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", probe], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+            for seed in ("0", "1")]
+        digests = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            digests.append(out.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
     def test_parallel_populates_cache_serial_reads_it(self, tmp_path):
         counter = tmp_path / "calls.txt"
