@@ -3,7 +3,8 @@
 
 Walks through the library bottom-up:
 
-1. compress individual 64-byte cache lines with the paper's algorithms;
+1. compress individual 64-byte cache lines with the paper's two
+   algorithms (Compresso's modified BPC and BDI, Fig. 2);
 2. stand up a Compresso memory controller (OSPA -> MPA translation,
    LinePack packing, inflation room, predictor, repacking);
 3. write/read data through it and inspect compression + data movement.
@@ -13,12 +14,7 @@ Run:  python examples/quickstart.py
 
 import struct
 
-from repro.compression import (
-    BDICompressor,
-    BPCCompressor,
-    FPCCompressor,
-    LZCompressor,
-)
+from repro.compression import BDICompressor, BPCCompressor
 from repro.core import CompressedMemoryController, compresso_config
 from repro.memory import MemoryGeometry
 
@@ -34,8 +30,7 @@ def demo_compression() -> None:
                        + b" " * 64)[:64],
         "random": bytes((i * 197 + 89) % 256 for i in range(64)),
     }
-    algorithms = [BPCCompressor(), BDICompressor(), FPCCompressor(),
-                  LZCompressor()]
+    algorithms = [BPCCompressor(), BDICompressor()]
     header = f"{'data':16s}" + "".join(f"{a.name:>8s}" for a in algorithms)
     print(header)
     for label, line in samples.items():
@@ -45,7 +40,7 @@ def demo_compression() -> None:
             assert algorithm.decompress(compressed) == line
             row += f"{compressed.size_bytes:7d}B"
         print(row)
-    print("(all algorithms verified by decompressing back to the input)\n")
+    print("(both algorithms verified by decompressing back to the input)\n")
 
 
 def demo_controller() -> None:

@@ -1,9 +1,9 @@
 """Pure-Python reproduction of "Compresso: Pragmatic Main Memory
 Compression" (Choukse, Erez, Alameldeen — MICRO 2018).
 
-Subpackages: :mod:`repro.compression` (BPC/BDI/FPC/C-Pack/LZ),
+Subpackages: :mod:`repro.compression` (BPC/BDI),
 :mod:`repro.core` (the Compresso controller), :mod:`repro.memory`,
-:mod:`repro.cache`, :mod:`repro.cpu`, :mod:`repro.osmodel`,
+:mod:`repro.cpu`, :mod:`repro.osmodel`,
 :mod:`repro.workloads`, :mod:`repro.simulation`, :mod:`repro.energy`,
 :mod:`repro.analysis` (paper-figure runners) and :mod:`repro.runner`
 (the parallel experiment executor, result cache and run journal).

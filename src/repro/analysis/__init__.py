@@ -25,7 +25,6 @@ from .experiments import (
     run_sec7_energy_area,
     run_tab2,
 )
-from .export import to_csv, to_json, write_result, write_results
 from .report import ExperimentResult, arithmetic_mean, geometric_mean, render
 
 __all__ = [
@@ -38,10 +37,6 @@ __all__ = [
     "arithmetic_mean",
     "geometric_mean",
     "render",
-    "to_csv",
-    "to_json",
-    "write_result",
-    "write_results",
     "run_ablation_design_space",
     "run_faults",
     "run_fig2",

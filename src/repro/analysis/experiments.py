@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..compression import BDICompressor, BPCCompressor, is_zero_line
+from ..compression import BDICompressor, BPCCompressor, SizeCache, is_zero_line
 from ..core.config import (
     ALIGNMENT_FRIENDLY_LINE_BINS,
     EIGHT_LINE_BINS,
@@ -167,30 +167,23 @@ def _fig2_combos():
     }
 
 
-def _line_size(compressor, cache: Dict[bytes, int], line: bytes) -> int:
-    if is_zero_line(line):
-        return 0
-    size = cache.get(line)
-    if size is None:
-        size = min(compressor.compress(line).size_bytes, 64)
-        cache[line] = size
-    return size
+def _line_size(sizes: SizeCache, line: bytes) -> int:
+    return 0 if is_zero_line(line) else sizes.size_bytes(line)
 
 
 def _unit_fig2(benchmark: str, scale: ExperimentScale) -> dict:
     """Fig. 2 cell: four algorithm/packing ratios for one benchmark."""
     profile = PROFILES[benchmark]
     combos = _fig2_combos()
-    caches: Dict[str, Dict[bytes, int]] = {"bpc": {}, "bdi": {}}
     workload = Workload(profile, scale=scale.scale, seed=scale.seed)
     n_pages = min(workload.pages, scale.fig2_pages)
     row: Dict[str, Any] = {"benchmark": profile.name}
     for combo, (compressor, packer) in combos.items():
-        cache = caches[compressor.name]
+        cache = SizeCache(compressor)
         raw = allocated = 0
         for page in range(n_pages):
             sizes = [
-                _line_size(compressor, cache, line)
+                _line_size(cache, line)
                 for line in workload.page_lines(page)
             ]
             layout = packer.pack(sizes)
@@ -790,8 +783,7 @@ _ABLATION_BIN_SETS = {
 def _unit_ablation(label: str, scale: ExperimentScale) -> dict:
     """Ablation cell: ratio/overflow/split numbers for one bin set."""
     bins = _ABLATION_BIN_SETS[label]
-    bpc = BPCCompressor()
-    cache: Dict[bytes, int] = {}
+    cache = SizeCache(BPCCompressor())
 
     # Static part: pack page images across the suite under this bin set.
     page_sizes: List[List[int]] = []
@@ -799,7 +791,7 @@ def _unit_ablation(label: str, scale: ExperimentScale) -> dict:
         workload = Workload(profile, scale=scale.scale, seed=scale.seed)
         for page in range(min(workload.pages, scale.fig2_pages // 2)):
             page_sizes.append(
-                [_line_size(bpc, cache, line)
+                [_line_size(cache, line)
                  for line in workload.page_lines(page)])
 
     packer = LinePack(bins)

@@ -1,19 +1,17 @@
 """Cache-line compression algorithms (all implemented from scratch).
 
 The Compresso paper's compressor is a modified Bit-Plane Compression
-(:class:`BPCCompressor`); BDI, FPC, C-Pack and LZ are implemented for
-the algorithm comparisons in its §II-A and Fig. 2 (DESIGN.md §1.2).
+(:class:`BPCCompressor`, which keeps the smaller of its with- and
+without-transform encodings); BDI is the second algorithm of the
+Fig. 2 comparison (DESIGN.md §1.2).  :class:`SizeCache` memoizes
+compressed line sizes for every caller that only needs sizes.
 """
 
-from .base import LINE_SIZE, CompressedLine, Compressor
+from .base import LINE_SIZE, CompressedLine, Compressor, SizeCache
 from .bdi import BDICompressor
 from .bitstream import BitReader, Bits, BitWriter
 from .bpc import BPCCompressor, compression_ratio
-from .cpack import CPackCompressor
-from .fpc import FPCCompressor
-from .lz import LZCompressor
-from .selector import BestOfCompressor, available_algorithms, make_compressor
-from .zero import ZeroCompressor, is_zero_line
+from .zero import is_zero_line
 
 __all__ = [
     "LINE_SIZE",
@@ -21,16 +19,10 @@ __all__ = [
     "Compressor",
     "BDICompressor",
     "BPCCompressor",
-    "BestOfCompressor",
     "BitReader",
     "BitWriter",
     "Bits",
-    "CPackCompressor",
-    "FPCCompressor",
-    "LZCompressor",
-    "ZeroCompressor",
-    "available_algorithms",
+    "SizeCache",
     "compression_ratio",
     "is_zero_line",
-    "make_compressor",
 ]

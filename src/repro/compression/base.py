@@ -10,6 +10,7 @@ round trips.
 from __future__ import annotations
 
 import abc
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .bitstream import Bits
@@ -85,6 +86,38 @@ class Compressor(abc.ABC):
             raise ValueError(
                 f"cannot decompress {line.algorithm!r} payload with {self.name!r}"
             )
+
+
+class SizeCache:
+    """Memoized compressed sizes; synthetic traces repeat line contents.
+
+    The cache is shared process-wide (keyed by algorithm and content)
+    because experiment sweeps run the same workload through several
+    system configurations using the same compressor.  Sizes are capped
+    at the raw line size: packing stores a line raw when compression
+    does not help.
+    """
+
+    _shared: OrderedDict = OrderedDict()
+    _MAX = 1 << 18
+
+    def __init__(self, compressor: Compressor) -> None:
+        self._compressor = compressor
+        self._key = (compressor.name, compressor.line_size,
+                     getattr(compressor, "transform_only", False))
+
+    def size_bytes(self, data: bytes) -> int:
+        cache = SizeCache._shared
+        key = (self._key, data)
+        cached = cache.get(key)
+        if cached is not None:
+            cache.move_to_end(key)
+            return cached
+        size = min(self._compressor.compressed_size_bytes(data), len(data))
+        cache[key] = size
+        if len(cache) > SizeCache._MAX:
+            cache.popitem(last=False)
+        return size
 
 
 def words_of(data: bytes, word_bytes: int = 4) -> list:

@@ -2,36 +2,12 @@
 
 All-zero cache lines are the single most valuable special case in a
 compressed memory system: the paper handles zero fills/writebacks purely
-in (cached) metadata with no DRAM access at all (§VII-A).  This module
-provides both the predicate and a degenerate compressor used in tests.
+in (cached) metadata with no DRAM access at all (§VII-A).
 """
 
 from __future__ import annotations
-
-from .base import CompressedLine, Compressor
-from .bitstream import Bits
 
 
 def is_zero_line(data: bytes) -> bool:
     """True if every byte of the line is zero."""
     return not any(data)
-
-
-class ZeroCompressor(Compressor):
-    """Compresses all-zero lines to 0 bits; leaves everything else raw."""
-
-    name = "zero"
-
-    def compress(self, data: bytes) -> CompressedLine:
-        self._check_input(data)
-        if is_zero_line(data):
-            return CompressedLine(self.name, 0, Bits(0, 0), self.line_size)
-        raw = int.from_bytes(data, "big")
-        nbits = self.line_size * 8
-        return CompressedLine(self.name, nbits, Bits(raw, nbits), self.line_size)
-
-    def decompress(self, line: CompressedLine) -> bytes:
-        self._check_line(line)
-        if line.size_bits == 0:
-            return bytes(line.original_size)
-        return line.payload.value.to_bytes(line.original_size, "big")

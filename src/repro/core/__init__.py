@@ -7,7 +7,6 @@ behaviour is documented in docs/ROBUSTNESS.md.
 """
 
 from ..memory.allocator import (
-    AllocatorStats,
     ChunkAllocator,
     OutOfMemoryError,
     VariableAllocator,
@@ -41,7 +40,6 @@ from .stats import ControllerStats
 
 __all__ = [
     "ALIGNMENT_FRIENDLY_LINE_BINS",
-    "AllocatorStats",
     "BalloonDriver",
     "BalloonStats",
     "CHUNK_PAGE_SIZES",

@@ -40,9 +40,6 @@ class CompressoConfig:
     line_bins: Tuple[int, ...] = ALIGNMENT_FRIENDLY_LINE_BINS
     page_sizes: Tuple[int, ...] = CHUNK_PAGE_SIZES
 
-    # -- compression ------------------------------------------------------
-    compressor: str = "bpc"              # registry name (see compression.selector)
-
     # -- metadata (§III) --------------------------------------------------
     metadata_entry_bytes: int = 64
     metadata_cache_bytes: int = 96 * 1024

@@ -28,7 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..compression import is_zero_line, make_compressor
+from ..compression import BPCCompressor, SizeCache, is_zero_line
 from ..memory.physical import MemoryGeometry, OutOfMemoryError, PhysicalMemory
 from ..memory.request import AccessCategory, AccessKind, AccessResult, MemAccess
 from ..obs.tracer import NULL_TRACER
@@ -42,39 +42,6 @@ from .predictor import PageOverflowPredictor
 from .stats import ControllerStats
 
 _BLOCK = 64  # DRAM access granularity
-
-
-class _SizeCache:
-    """Memoized compressed sizes; synthetic traces repeat line contents.
-
-    The cache is shared process-wide (keyed by algorithm and content)
-    because experiment sweeps run the same workload through several
-    system configurations using the same compressor.
-    """
-
-    _shared: OrderedDict = OrderedDict()
-    _MAX = 1 << 18
-
-    def __init__(self, compressor) -> None:
-        self._compressor = compressor
-        self._key = (compressor.name, compressor.line_size,
-                     getattr(compressor, "transform_only", False))
-
-    def size_bytes(self, data: bytes) -> int:
-        cache = _SizeCache._shared
-        key = (self._key, data)
-        cached = cache.get(key)
-        if cached is not None:
-            cache.move_to_end(key)
-            return cached
-        size = min(
-            self._compressor.compressed_size_bytes(data),
-            len(data),  # packing stores raw if compression does not help
-        )
-        cache[key] = size
-        if len(cache) > _SizeCache._MAX:
-            cache.popitem(last=False)
-        return size
 
 
 @dataclass
@@ -108,8 +75,7 @@ class CompressedMemoryController:
         self.memory = PhysicalMemory(
             geometry, allocation=config.allocation, chunk_size=config.chunk_size
         )
-        self.compressor = make_compressor(config.compressor, config.line_size)
-        self._sizes = _SizeCache(self.compressor)
+        self._sizes = SizeCache(BPCCompressor(config.line_size))
         if config.packing == "linepack":
             self.packer = LinePack(
                 config.line_bins, config.line_size, config.max_inflation_pointers

@@ -166,14 +166,6 @@ class MetadataCache:
         return [(page, entry) for entries in self._sets
                 for page, entry in entries.items()]
 
-    def occupancy(self) -> float:
-        """Fraction of the cache's 32-byte sub-slots currently filled."""
-        capacity = self.n_sets * self.slots_per_set
-        if not capacity:
-            return 0.0
-        used = sum(self._used_slots(entries) for entries in self._sets)
-        return used / capacity
-
     @staticmethod
     def _used_slots(entries: OrderedDict) -> int:
         return sum(entry.slots for entry in entries.values())

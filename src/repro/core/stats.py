@@ -6,25 +6,17 @@ sources: split-access cache lines, compressibility changes (line/page
 overflows, inflation-room traffic, repacking) and metadata-cache misses
 (§IV).  These counters mirror that taxonomy exactly.
 
-The counters are the canonical storage (plain integer fields, so the
-hot-path ``+=`` sites stay native speed), and the class is rebased onto
-the observability layer two ways without changing its public API:
-
-* every counter site in the controller has a matching
-  :mod:`repro.obs.tracer` event emit (linted by the ``stats-emit``
-  rule, docs/LINTING.md), so the aggregate counters and
-  the event timeline reconcile exactly;
-* :meth:`ControllerStats.bind_registry` publishes every counter and
-  derived aggregate into a :class:`repro.obs.metrics.MetricRegistry`
-  as lazily-read pull metrics.
+The counters are plain integer fields, so the hot-path ``+=`` sites
+stay native speed.  Every counter site in the controller has a matching
+:mod:`repro.obs.tracer` event emit (linted by the ``stats-emit`` rule,
+docs/LINTING.md), so the aggregate counters and the event timeline
+reconcile exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import Optional
-
-from ..obs.metrics import MetricRegistry
 
 
 @dataclass
@@ -157,24 +149,3 @@ class ControllerStats:
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def bind_registry(self, registry: MetricRegistry,
-                      prefix: str = "controller") -> MetricRegistry:
-        """Publish every counter (and the derived aggregates) into a
-        :class:`~repro.obs.metrics.MetricRegistry` as pull metrics.
-
-        The registry reads the live fields lazily at collect time, so
-        binding costs nothing on the controller's hot path.
-        """
-        for f in fields(self):
-            registry.register(f"{prefix}.{f.name}",
-                              lambda name=f.name: getattr(self, name))
-        for name in ("demand_accesses", "compression_change_accesses",
-                     "extra_accesses", "saved_accesses", "metadata_lookups"):
-            registry.register(f"{prefix}.{name}",
-                              lambda name=name: getattr(self, name))
-        registry.register(f"{prefix}.relative_extra_accesses",
-                          self.relative_extra_accesses)
-        registry.register(f"{prefix}.metadata_hit_rate",
-                          self.metadata_hit_rate)
-        return registry

@@ -1,13 +1,12 @@
 """Main-memory substrate: DDR4 timing, capacity accounting (DESIGN.md)."""
 
-from .allocator import AllocatorStats, ChunkAllocator, VariableAllocator
+from .allocator import ChunkAllocator, VariableAllocator
 from .dram import DDR4Channel, DRAMStats, DRAMSystem, DRAMTimings
 from .physical import MemoryGeometry, OutOfMemoryError, PhysicalMemory
 from .request import AccessCategory, AccessKind, AccessResult, MemAccess
 
 __all__ = [
     "AccessCategory",
-    "AllocatorStats",
     "ChunkAllocator",
     "VariableAllocator",
     "AccessKind",

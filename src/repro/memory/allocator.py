@@ -16,45 +16,11 @@ memory and expose identical interfaces so the controller can use either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class OutOfMemoryError(Exception):
     """Machine memory exhausted — the §V-B ballooning path must kick in."""
-
-
-@dataclass
-class AllocatorStats:
-    """Occupancy snapshot for capacity accounting."""
-
-    total_chunks: int
-    used_chunks: int
-    fragmented_chunks: int = 0
-
-    @property
-    def free_chunks(self) -> int:
-        return self.total_chunks - self.used_chunks
-
-    @property
-    def utilization(self) -> float:
-        return self.used_chunks / self.total_chunks if self.total_chunks else 0.0
-
-    @property
-    def fragmentation(self) -> float:
-        """Fraction of free space unusable for a max-size request."""
-        free = self.free_chunks
-        return self.fragmented_chunks / free if free else 0.0
-
-    def observe(self, registry, prefix: str = "allocator") -> None:
-        """Publish this snapshot as gauges on a MetricRegistry."""
-        registry.gauge(f"{prefix}.total_chunks").set(self.total_chunks)
-        registry.gauge(f"{prefix}.used_chunks").set(self.used_chunks)
-        registry.gauge(f"{prefix}.free_chunks").set(self.free_chunks)
-        registry.gauge(f"{prefix}.fragmented_chunks").set(
-            self.fragmented_chunks)
-        registry.gauge(f"{prefix}.utilization").set(self.utilization)
-        registry.gauge(f"{prefix}.fragmentation").set(self.fragmentation)
 
 
 class ChunkAllocator:
@@ -111,16 +77,6 @@ class ChunkAllocator:
         metadata actually references.
         """
         return frozenset(self._allocated)
-
-    def stats(self) -> AllocatorStats:
-        # Seized chunks are unusable, so capacity accounting treats
-        # them as occupied even though no page owns them.
-        return AllocatorStats(self.total_chunks,
-                              self.used_chunks + len(self._seized))
-
-    def observe(self, registry, prefix: str = "allocator") -> None:
-        """Publish the current occupancy gauges to a MetricRegistry."""
-        self.stats().observe(registry, prefix)
 
     def chunk_base_address(self, chunk: int) -> int:
         """MPA byte address of a chunk (used for DRAM bank mapping)."""
@@ -308,19 +264,6 @@ class VariableAllocator:
             if self._free_lists[order]:
                 return self.chunk_size << order
         return 0
-
-    def stats(self) -> AllocatorStats:
-        # Fragmented = free space that cannot serve a max-size request.
-        frag = 0
-        if not self._free_lists[self._orders]:
-            frag = self.free_chunks
-        return AllocatorStats(self.total_chunks, self.used_chunks, frag)
-
-    def observe(self, registry, prefix: str = "allocator") -> None:
-        """Publish occupancy/fragmentation gauges to a MetricRegistry."""
-        self.stats().observe(registry, prefix)
-        registry.gauge(f"{prefix}.largest_free_region_bytes").set(
-            self.largest_free_region())
 
     def chunk_base_address(self, chunk: int) -> int:
         return chunk * self.chunk_size

@@ -78,9 +78,6 @@ class PhysicalMemory:
     def free_bytes(self) -> int:
         return self.allocator.free_chunks * self.chunk_size
 
-    def utilization(self) -> float:
-        return self.allocator.stats().utilization
-
     def metadata_address(self, ospa_page: int) -> int:
         """MPA address of a page's metadata entry — a shift and add (§III).
 

@@ -1,32 +1,25 @@
-"""Observability: event tracing, metrics, timelines, exporters.
+"""Observability: event tracing, timelines, exporters.
 
 See docs/OBSERVABILITY.md for the event schema, clock semantics, and
 exporter formats.  Quick tour:
 
 * :class:`Tracer` / :data:`NULL_TRACER` — structured controller events
   on a simulated-access clock (``repro.obs.tracer``);
-* :class:`MetricRegistry` — named counters/gauges/histograms plus
-  pull-metric binding for ``ControllerStats`` (``repro.obs.metrics``);
 * :func:`build_timeline` / :func:`timeline_digest` — windowed §IV
   extra-access breakdown (``repro.obs.timeline``);
-* :func:`chrome_trace` and friends — Perfetto-loadable JSON, CSV, and
-  terminal exporters (``repro.obs.export``).
+* :func:`chrome_trace` and friends — Perfetto-loadable JSON, timeline
+  CSV, and terminal exporters (``repro.obs.export``);
+* :class:`Histogram` — fixed-bucket percentile estimates, used for the
+  pressure controller's stall times (``repro.obs.metrics``).
 """
 
 from .export import (
     chrome_trace,
-    events_csv,
     summary,
     timeline_csv,
     write_chrome_trace,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    sample_controller,
-)
+from .metrics import Histogram
 from .timeline import TimelineWindow, build_timeline, timeline_digest
 from .tracer import (
     EVENT_SOURCES,
@@ -35,28 +28,19 @@ from .tracer import (
     NullTracer,
     TraceEvent,
     Tracer,
-    filter_events,
-    known_event,
 )
 
 __all__ = [
     "EVENT_SOURCES",
     "NULL_TRACER",
     "SOURCES",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricRegistry",
     "NullTracer",
     "TraceEvent",
     "Tracer",
     "TimelineWindow",
     "build_timeline",
     "chrome_trace",
-    "events_csv",
-    "filter_events",
-    "known_event",
-    "sample_controller",
     "summary",
     "timeline_csv",
     "timeline_digest",

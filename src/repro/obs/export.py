@@ -12,7 +12,7 @@ loads directly into Perfetto (https://ui.perfetto.dev) or
 * **pid 2 — wall clock**: complete events (``ph: "X"``) for the
   simulator's wall-clock phases (install / simulate / flush).
 
-CSV exporters cover the windowed timeline and the raw event log;
+:func:`timeline_csv` exports the windowed timeline as CSV;
 :func:`summary` renders the terminal report the ``trace`` CLI prints.
 """
 
@@ -22,7 +22,7 @@ import json
 from typing import Iterable, List, Optional
 
 from .timeline import TimelineWindow, build_timeline
-from .tracer import SOURCES, TraceEvent, Tracer
+from .tracer import SOURCES, Tracer
 
 #: Track identities in the Chrome trace output.
 _SIM_PID = 1
@@ -90,20 +90,10 @@ def timeline_csv(windows: Iterable[TimelineWindow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def events_csv(events: Iterable[TraceEvent]) -> str:
-    """Raw event log as CSV."""
-    lines = ["clock,name,source,page,extra"]
-    for event in events:
-        page = "" if event.page is None else event.page
-        lines.append(f"{event.clock},{event.name},{event.source or ''},"
-                     f"{page},{event.extra}")
-    return "\n".join(lines) + "\n"
-
-
-def summary(tracer: Tracer, stats=None, registry=None,
+def summary(tracer: Tracer, stats=None,
             window: Optional[int] = None) -> str:
     """Terminal report: totals, per-source breakdown, busiest windows,
-    phase times, and (when a registry is given) sampled distributions."""
+    and phase times."""
     window = window or tracer.digest_window
     lines = ["== trace summary =="]
     lines.append(f"clock: {tracer.clock} demand accesses, "
@@ -140,18 +130,4 @@ def summary(tracer: Tracer, stats=None, registry=None,
         lines.append("phases (wall clock):")
         for name, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
             lines.append(f"  {name:<22} {seconds * 1e3:8.1f} ms")
-    if registry is not None:
-        collected = registry.collect()
-        lines.append("sampled metrics:")
-        for name, value in collected.items():
-            if isinstance(value, dict):     # histogram
-                lines.append(f"  {name}: n={value['count']} "
-                             f"mean={value['mean']:.1f} "
-                             f"p50={value['p50']:.1f} "
-                             f"p95={value['p95']:.1f} "
-                             f"p99={value['p99']:.1f}")
-            elif isinstance(value, float):
-                lines.append(f"  {name}: {value:.3f}")
-            else:
-                lines.append(f"  {name}: {value}")
     return "\n".join(lines)

@@ -1,57 +1,14 @@
-"""Named metric registry: counters, gauges, histograms, pull-sources.
+"""Fixed-bucket histogram with percentile estimates.
 
-``MetricRegistry`` is the uniform namespace every model component
-publishes its numbers into.  Two styles coexist:
-
-* **push** metrics — :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` objects handed out by the registry and mutated by
-  the owner;
-* **pull** metrics — a name registered with a zero-argument callable,
-  evaluated at :meth:`MetricRegistry.collect` time.  This is how
-  :class:`~repro.core.stats.ControllerStats` is rebased onto the
-  registry (``stats.bind_registry(reg)``): the hot-path ``+=`` sites
-  keep their native-speed integer fields, and the registry reads them
-  lazily, Prometheus-collector style, so observation costs nothing
-  until someone actually collects.
-
-Distribution metrics the paper cares about (compressed-line-size and
-page-size histograms, metadata-cache occupancy, free-space
-fragmentation) are sampled from a live controller with
-:func:`sample_controller`.
+The pressure controller (:mod:`repro.pressure.controller`) records
+admission-stall lengths in :class:`Histogram` objects and reports
+their p50/p95/p99 (docs/PRESSURE.md).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, List, Optional, Sequence
-
-
-class Counter:
-    """A monotonically increasing named count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("counters only increase")
-        self.value += n
-
-
-class Gauge:
-    """A named point-in-time value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
+from typing import Sequence
 
 
 class Histogram:
@@ -111,109 +68,3 @@ class Histogram:
                 cumulative += count
             previous = bound
         return self.maximum
-
-    def as_dict(self) -> Dict[str, Any]:
-        buckets = {}
-        previous = None
-        for bound, count in zip(self.bounds, self.counts):
-            label = (f"<={bound:g}" if previous is None
-                     else f"{previous:g}..{bound:g}")
-            buckets[label] = count
-            previous = bound
-        buckets[f">{self.bounds[-1]:g}"] = self.counts[-1]
-        return {"count": self.count, "mean": self.mean,
-                "p50": self.percentile(50.0),
-                "p95": self.percentile(95.0),
-                "p99": self.percentile(99.0),
-                "buckets": buckets}
-
-
-class MetricRegistry:
-    """Flat namespace of named metrics (dotted names by convention)."""
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, Any] = {}
-        self._sources: Dict[str, Callable[[], Any]] = {}
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_make(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_make(name, Gauge)
-
-    def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = Histogram(name, bounds)
-            self._metrics[name] = metric
-        elif not isinstance(metric, Histogram):
-            raise TypeError(f"metric {name!r} is a {type(metric).__name__}")
-        return metric
-
-    def register(self, name: str, source: Callable[[], Any]) -> None:
-        """Register a pull metric, read at :meth:`collect` time."""
-        if name in self._metrics:
-            raise ValueError(f"metric {name!r} already registered")
-        self._sources[name] = source
-
-    def names(self) -> List[str]:
-        return sorted(set(self._metrics) | set(self._sources))
-
-    def collect(self) -> Dict[str, Any]:
-        """Evaluate every metric into a plain (JSON-ready) dict."""
-        out: Dict[str, Any] = {}
-        for name, metric in self._metrics.items():
-            out[name] = (metric.as_dict() if isinstance(metric, Histogram)
-                         else metric.value)
-        for name, source in self._sources.items():
-            out[name] = source()
-        return dict(sorted(out.items()))
-
-    def _get_or_make(self, name: str, cls):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
-            raise TypeError(f"metric {name!r} is a {type(metric).__name__}")
-        return metric
-
-
-#: Compressed-line sizes fall in 8-byte steps up to the 64 B raw line.
-LINE_SIZE_BOUNDS = (0, 8, 16, 24, 32, 40, 48, 56, 64)
-#: Page allocations in 512 B chunks (8 = uncompressed 4 KB).
-PAGE_CHUNK_BOUNDS = (0, 1, 2, 3, 4, 5, 6, 7, 8)
-
-
-def sample_controller(controller,
-                      registry: Optional[MetricRegistry] = None
-                      ) -> MetricRegistry:
-    """Snapshot a controller's distributions and occupancy into a registry.
-
-    Populates the compressed-line-size and page-size histograms over
-    all resident pages, the metadata-cache occupancy gauge, and the
-    allocator's free-space/fragmentation gauges, and binds the
-    controller's :class:`~repro.core.stats.ControllerStats` counters
-    as pull metrics.
-    """
-    registry = registry if registry is not None else MetricRegistry()
-    controller.stats.bind_registry(registry)
-    lines = registry.histogram("lines.compressed_size_bytes",
-                               LINE_SIZE_BOUNDS)
-    pages = registry.histogram("pages.size_chunks", PAGE_CHUNK_BOUNDS)
-    resident = compressed = 0
-    for state in controller.pages.values():
-        if not state.meta.valid:
-            continue
-        resident += 1
-        compressed += int(state.meta.compressed)
-        pages.observe(state.meta.size_chunks)
-        for size in state.ideal_sizes:
-            lines.observe(size)
-    registry.gauge("pages.resident").set(resident)
-    registry.gauge("pages.compressed").set(compressed)
-    registry.gauge("metadata_cache.occupancy").set(
-        controller.metadata_cache.occupancy())
-    registry.gauge("compression.ratio").set(controller.compression_ratio())
-    controller.memory.allocator.observe(registry)
-    return registry

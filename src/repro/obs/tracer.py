@@ -29,7 +29,7 @@ registered here.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: §IV extra-access sources (the Fig. 4 stack segments).
 SOURCE_SPLIT = "split"
@@ -267,17 +267,3 @@ class Tracer:
         for name, _start, duration in self.phase_spans:
             totals[name] = totals.get(name, 0.0) + duration
         return totals
-
-
-def known_event(name: str) -> bool:
-    """Is ``name`` a registered event? (Used by the instrumentation lint.)"""
-    return name in EVENT_SOURCES
-
-
-def filter_events(events: Iterable[TraceEvent],
-                  names: Optional[Iterable[str]] = None) -> List[TraceEvent]:
-    """Select events by name (all events when ``names`` is None)."""
-    if names is None:
-        return list(events)
-    wanted = set(names)
-    return [event for event in events if event.name in wanted]

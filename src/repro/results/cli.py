@@ -33,6 +33,14 @@ from .index import DEFAULT_DB_PATH, ResultsIndex
 DEFAULT_SOURCE = "runs.jsonl"
 
 
+def _require_db(parser: argparse.ArgumentParser, db: str) -> None:
+    """Refuse, with a usage error, to query a database that is not there
+    (opening one would create an empty file)."""
+    if not Path(db).is_file():
+        parser.error(f"no index database at {db} "
+                     "(run 'python -m repro.analysis index' first)")
+
+
 def index_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis index",
@@ -61,9 +69,13 @@ def index_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.runs or args.metrics:
+        _require_db(parser, args.db)
         with ResultsIndex(args.db) as index:
             if args.metrics:
-                run_id = index.resolve_run(args.metrics)
+                try:
+                    run_id = index.resolve_run(args.metrics)
+                except KeyError as exc:
+                    parser.error(exc.args[0])
                 for metric in index.metric_names(run_id):
                     print(metric)
                 return 0
@@ -167,9 +179,7 @@ def compare_main(argv: Optional[List[str]] = None) -> int:
     if args.metrics:
         metrics = [name.strip() for name in args.metrics.split(",")
                    if name.strip()]
-    if not Path(args.db).is_file():
-        parser.error(f"no index database at {args.db} "
-                     "(run 'python -m repro.analysis index' first)")
+    _require_db(parser, args.db)
     with ResultsIndex(args.db) as index:
         try:
             comparison = compare_runs(

@@ -264,8 +264,11 @@ def find_interrupted(path: str | Path) -> Dict[str, List[Any]]:
     Units are keyed by ``(run_id, unit, key, seed)``: multi-seed
     sweeps (``run --seeds N``) run the same unit label once per seed,
     and a ``unit_end`` for seed 0 must not close seed 1's in-flight
-    start — only the exact (unit, seed) pair that finished.
+    start — only the exact (unit, seed) pair that finished.  A journal
+    that does not exist yet holds no runs, so nothing is interrupted.
     """
+    if not Path(path).exists():
+        return {"runs": [], "units": []}
     open_units: Dict[tuple, Dict[str, Any]] = {}
     seen_runs: List[str] = []
     ended_runs: set = set()

@@ -1,4 +1,4 @@
-"""Simulation drivers: cycle-based, 4-core, capacity, overall (DESIGN.md)."""
+"""Simulation drivers: cycle-based, 4-core, capacity (DESIGN.md)."""
 
 from .capacity import (
     CapacityConfig,
@@ -21,25 +21,20 @@ from .configs import (
     optimization_ladder,
     system_config,
 )
-from .full_hierarchy import FullHierarchyResult, simulate_full_hierarchy
 from .multicore import MulticoreResult, simulate_multicore
-from .overall import OverallResult, combine
 from .simulator import (
     SimulationConfig,
     SimulationResult,
     UncompressedController,
-    run_benchmark_systems,
     simulate,
 )
 
 __all__ = [
     "CapacityConfig",
     "CapacityResult",
-    "FullHierarchyResult",
     "IntervalProfile",
     "MulticoreResult",
     "OS_PAGE_FAULT_PENALTY_CYCLES",
-    "OverallResult",
     "PointSelection",
     "SYSTEM_ORDER",
     "SimulationConfig",
@@ -47,16 +42,13 @@ __all__ = [
     "UncompressedController",
     "capacity_impact",
     "chunk_vs_variable_configs",
-    "combine",
     "kmeans",
     "multicore_capacity_impact",
     "optimization_ladder",
     "profile_intervals",
     "representativeness_error",
-    "run_benchmark_systems",
     "select_points",
     "simulate",
-    "simulate_full_hierarchy",
     "simulate_multicore",
     "system_config",
 ]

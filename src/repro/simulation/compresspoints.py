@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..compression import BPCCompressor, is_zero_line
+from ..compression import BPCCompressor, SizeCache, is_zero_line
 from ..core.packing import choose_bin
 from ..workloads.profiles import BenchmarkProfile
 from ..workloads.tracegen import TraceGenerator, Workload
@@ -56,22 +56,11 @@ class IntervalProfile:
         return np.concatenate([self.bbv, extras])
 
 
-class _SizeTracker:
-    """Tracks per-page packed sizes without a full controller."""
-
-    def __init__(self) -> None:
-        self._compressor = BPCCompressor()
-        self._cache = {}
-        self.page_bins = {}
-
-    def line_bin_bytes(self, data: bytes) -> int:
-        if is_zero_line(data):
-            return 0
-        size = self._cache.get(data)
-        if size is None:
-            size = min(self._compressor.compress(data).size_bytes, 64)
-            self._cache[data] = size
-        return _LINE_BINS[choose_bin(size, _LINE_BINS)]
+def _line_bin_bytes(sizes: SizeCache, data: bytes) -> int:
+    """Packed (binned) size of one line, without a full controller."""
+    if is_zero_line(data):
+        return 0
+    return _LINE_BINS[choose_bin(sizes.size_bytes(data), _LINE_BINS)]
 
 
 def profile_intervals(profile: BenchmarkProfile, n_intervals: int = 20,
@@ -80,7 +69,7 @@ def profile_intervals(profile: BenchmarkProfile, n_intervals: int = 20,
     """Profile a benchmark into per-interval feature vectors."""
     workload = Workload(profile, scale=scale, seed=seed)
     trace = TraceGenerator(workload, seed=seed)
-    tracker = _SizeTracker()
+    sizes = SizeCache(BPCCompressor())
     phase_rng = np.random.RandomState(seed + 17)
     total_events = n_intervals * events_per_interval
     events = trace.events(total_events)
@@ -93,7 +82,7 @@ def profile_intervals(profile: BenchmarkProfile, n_intervals: int = 20,
         entry = page_sizes.get(page)
         if entry is None:
             entry = [
-                tracker.line_bin_bytes(workload.line_data(page, line))
+                _line_bin_bytes(sizes, workload.line_data(page, line))
                 for line in range(64)
             ]
             page_sizes[page] = entry
@@ -113,7 +102,7 @@ def profile_intervals(profile: BenchmarkProfile, n_intervals: int = 20,
                 override = trace.overwrite_class_at(progress, phase_rng)
                 data = workload.apply_writeback(event.page, event.line,
                                                 override)
-                new_size = tracker.line_bin_bytes(data)
+                new_size = _line_bin_bytes(sizes, data)
                 old_size = entry[event.line]
                 if new_size > old_size:
                     overflows += 1

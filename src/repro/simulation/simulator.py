@@ -11,7 +11,7 @@ timeline (→ the capacity runs' dynamic budget).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -322,10 +322,3 @@ def _issue(dram: DRAMSystem, now: int, result: AccessResult,
         else:
             dram.access(now, access)
     return int(visible)
-
-
-def run_benchmark_systems(profile: BenchmarkProfile, systems,
-                          sim: SimulationConfig = SimulationConfig()
-                          ) -> Dict[str, SimulationResult]:
-    """Run one benchmark across several systems on the same trace."""
-    return {system: simulate(profile, system, sim) for system in systems}

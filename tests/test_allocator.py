@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocator import ChunkAllocator, OutOfMemoryError, VariableAllocator
+from repro.memory.allocator import ChunkAllocator, OutOfMemoryError, VariableAllocator
 
 
 class TestChunkAllocator:
@@ -42,11 +42,10 @@ class TestChunkAllocator:
     def test_stats(self):
         alloc = ChunkAllocator(10 * 512)
         alloc.allocate(4)
-        stats = alloc.stats()
-        assert stats.total_chunks == 10
-        assert stats.used_chunks == 4
-        assert stats.free_chunks == 6
-        assert stats.utilization == pytest.approx(0.4)
+        assert alloc.total_chunks == 10
+        assert alloc.used_chunks == 4
+        assert alloc.free_chunks == 6
+        assert alloc.used_bytes == 4 * 512
 
     def test_chunk_addresses_distinct(self):
         alloc = ChunkAllocator(16 * 512)
@@ -100,9 +99,9 @@ class TestVariableAllocator:
         for base in smalls[::2]:
             alloc.free_region(base)
         assert alloc.free_chunks == 8
+        assert alloc.largest_free_region() == 512
         with pytest.raises(OutOfMemoryError):
             alloc.allocate_region(4096)
-        assert alloc.stats().fragmented_chunks == 8
 
     def test_double_free_rejected(self):
         alloc = VariableAllocator(4096)

@@ -9,25 +9,15 @@ from hypothesis import strategies as st
 from repro.compression import (
     BDICompressor,
     BPCCompressor,
-    BestOfCompressor,
     CompressedLine,
-    CPackCompressor,
-    FPCCompressor,
-    LZCompressor,
-    ZeroCompressor,
-    available_algorithms,
+    SizeCache,
     is_zero_line,
-    make_compressor,
 )
 
 ALL_COMPRESSORS = [
     BPCCompressor(),
     BPCCompressor(transform_only=True),
     BDICompressor(),
-    FPCCompressor(),
-    CPackCompressor(),
-    LZCompressor(),
-    ZeroCompressor(),
 ]
 
 IDS = [f"{c.name}{'-t' if getattr(c, 'transform_only', False) else ''}"
@@ -53,8 +43,9 @@ def interesting_lines():
         fit = (1 << (8 * width - 1)) - 1
         yield struct.pack("<16I", 1000, *([1000 + fit] * 15))
         yield struct.pack("<16I", 1000, *([1000 + fit + 1] * 15))
-    # FPC prefix boundaries: 4/8/16-bit sign-extension edges, half-zero,
-    # two halfword SE8, repeated bytes, zero runs of exactly 8.
+    # Word-pattern edges: 4/8/16-bit sign-extension limits, half-zero
+    # words, two sign-extended halfwords, repeated bytes, and a run of
+    # exactly eight zero words.
     yield struct.pack("<16i", *([7, -8, 127, -128] * 4))
     yield struct.pack("<16i", *([32767, -32768] * 8))
     yield struct.pack("<16I", *([0x00012300] * 16))        # half zero low
@@ -114,7 +105,6 @@ class TestZeroHandling:
 
     def test_zero_line_sizes(self):
         zero = bytes(64)
-        assert ZeroCompressor().compress(zero).size_bits == 0
         assert BDICompressor().compress(zero).size_bits == 8
         assert BPCCompressor().compress(zero).size_bits <= 16
 
@@ -160,61 +150,38 @@ class TestBDISpecifics:
         assert BDICompressor().compress(line).size_bits == 512
 
 
-class TestFPCSpecifics:
-    def test_zero_run_encoding(self):
-        line = bytes(64)
-        # 16 zero words = 2 runs of 8 -> 2 x 6 bits.
-        assert FPCCompressor().compress(line).size_bits == 12
-
-    def test_sign_extended_words(self):
-        line = struct.pack("<16i", *[-3] * 16)
-        compressed = FPCCompressor().compress(line)
-        assert compressed.size_bits == 16 * 7  # prefix+4 bits per word
-
-
-class TestCPackSpecifics:
-    def test_dictionary_hits(self):
-        line = struct.pack("<16I", *[0xABCD1234] * 16)
-        compressed = CPackCompressor().compress(line)
-        # First word literal (34 bits), 15 dictionary hits (6 bits each).
-        assert compressed.size_bits == 34 + 15 * 6
-
-
-class TestLZSpecifics:
-    def test_run_compression(self):
-        line = b"\x42" * 64
-        compressed = LZCompressor().compress(line)
-        assert compressed.size_bits < 150
-
-
-class TestBestOf:
-    def test_picks_smallest(self):
-        best = BestOfCompressor([BPCCompressor(), BDICompressor()])
+class TestSizeCache:
+    def test_sizes_match_compressor_and_cap_at_raw(self):
+        bpc = BPCCompressor()
+        sizes = SizeCache(bpc)
         for line in interesting_lines():
-            result = best.compress(line)
-            individual = min(
-                BPCCompressor().compress(line).size_bits,
-                BDICompressor().compress(line).size_bits,
-            )
-            assert result.size_bits == individual
-            assert best.decompress(result) == line
+            assert sizes.size_bytes(line) == min(
+                bpc.compress(line).size_bytes, 64)
 
-    def test_rejects_duplicate_children(self):
-        with pytest.raises(ValueError):
-            BestOfCompressor([BPCCompressor(), BPCCompressor()])
+    def test_variants_do_not_share_entries(self):
+        line = struct.pack("<16I", *[0xDEADBEEF] * 16)
+        expected = {
+            "bpc": BPCCompressor().compress(line).size_bytes,
+            "bpc-t": BPCCompressor(transform_only=True)
+            .compress(line).size_bytes,
+            "bdi": BDICompressor().compress(line).size_bytes,
+        }
+        for compressor, name in zip(ALL_COMPRESSORS, IDS):
+            assert SizeCache(compressor).size_bytes(line) == min(
+                expected[name], 64)
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            BestOfCompressor([])
+    def test_hit_skips_the_compressor(self):
+        calls = []
 
+        class Counting(BPCCompressor):
+            name = "bpc-counting"
 
-class TestRegistry:
-    def test_all_names_construct(self):
-        for name in available_algorithms():
-            compressor = make_compressor(name)
-            line = bytes(range(64))
-            assert compressor.decompress(compressor.compress(line)) == line
+            def compressed_size_bytes(self, data):
+                calls.append(data)
+                return super().compressed_size_bytes(data)
 
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            make_compressor("gzip")
+        sizes = SizeCache(Counting())
+        line = struct.pack("<16I", *range(300, 316))
+        first = sizes.size_bytes(line)
+        assert sizes.size_bytes(line) == first
+        assert calls == [line]

@@ -3,8 +3,8 @@
 Covers the no-op default tracer (zero events, bounded overhead), the
 reconciliation invariant between trace events and ControllerStats, the
 timeline/digest math, the exporters, the ControllerStats satellites
-(hit rate on zero lookups, defensive merge), the metric registry, and
-the trace CLI end to end.
+(hit rate on zero lookups, defensive merge), the histogram percentile
+estimates, and the trace CLI end to end.
 """
 
 import json
@@ -18,14 +18,11 @@ from repro.obs import (
     EVENT_SOURCES,
     NULL_TRACER,
     SOURCES,
-    MetricRegistry,
+    Histogram,
     TraceEvent,
     Tracer,
     build_timeline,
     chrome_trace,
-    events_csv,
-    filter_events,
-    sample_controller,
     summary,
     timeline_csv,
     timeline_digest,
@@ -155,11 +152,6 @@ class TestTimeline:
         assert digest["extra_accesses"] == 0
         assert digest["peak"] is None
 
-    def test_filter_events(self):
-        events = self.events()
-        assert len(filter_events(events, ["repack"])) == 1
-        assert filter_events(events) == events
-
 
 class TestExporters:
     def test_chrome_trace_structure(self):
@@ -186,8 +178,6 @@ class TestExporters:
         lines = csv.strip().splitlines()
         assert lines[0].startswith("window,start_clock")
         assert len(lines) == len(windows) + 1
-        raw = events_csv(tracer.events)
-        assert len(raw.strip().splitlines()) == len(tracer.events) + 1
 
     def test_summary_reports_reconciliation(self):
         tracer, result = traced_run()
@@ -237,40 +227,11 @@ class TestControllerStatsSatellites:
         assert sum(stats.breakdown().values()) == pytest.approx(
             stats.relative_extra_accesses())
 
-    def test_bind_registry_exposes_live_counters(self):
-        stats = ControllerStats(demand_reads=2, split_accesses=1)
-        registry = stats.bind_registry(MetricRegistry())
-        collected = registry.collect()
-        assert collected["controller.split_accesses"] == 1
-        assert collected["controller.extra_accesses"] == 1
-        assert collected["controller.metadata_hit_rate"] is None
-        stats.split_accesses += 1      # pull metrics read live state
-        assert registry.collect()["controller.split_accesses"] == 2
-
 
 class TestMetricRegistry:
-    def test_counter_gauge_histogram(self):
-        registry = MetricRegistry()
-        registry.counter("c").inc(3)
-        registry.gauge("g").set(1.5)
-        histogram = registry.histogram("h", (8, 16))
-        histogram.observe(4)
-        histogram.observe(12)
-        histogram.observe(99)
-        collected = registry.collect()
-        assert collected["c"] == 3
-        assert collected["g"] == 1.5
-        assert collected["h"]["count"] == 3
-        assert collected["h"]["buckets"] == {"<=8": 1, "8..16": 1, ">16": 1}
-
-    def test_duplicate_pull_name_rejected(self):
-        registry = MetricRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.register("x", lambda: 1)
+    """What obs.metrics keeps: the Histogram behind the stall percentiles."""
 
     def test_histogram_percentiles(self):
-        from repro.obs.metrics import Histogram
         # Single-valued buckets (8-byte line-size steps): exact.
         histogram = Histogram("h", (0, 8, 16, 24, 32))
         for value, repeats in ((8, 50), (16, 45), (24, 4), (32, 1)):
@@ -283,7 +244,6 @@ class TestMetricRegistry:
         assert histogram.percentile(0) == 0    # lower edge of first bucket
 
     def test_histogram_percentile_interpolates(self):
-        from repro.obs.metrics import Histogram
         histogram = Histogram("h", (0, 100))
         for _ in range(100):
             histogram.observe(50)    # all in the (0, 100] bucket
@@ -291,7 +251,6 @@ class TestMetricRegistry:
         assert histogram.percentile(50) == pytest.approx(50.0)
 
     def test_histogram_overflow_capped_at_maximum(self):
-        from repro.obs.metrics import Histogram
         histogram = Histogram("h", (8,))
         histogram.observe(4)
         histogram.observe(500)
@@ -299,49 +258,12 @@ class TestMetricRegistry:
         assert histogram.percentile(99) == 500
 
     def test_histogram_percentile_edge_cases(self):
-        from repro.obs.metrics import Histogram
         histogram = Histogram("h", (8,))
         assert histogram.percentile(50) == 0.0    # empty
         with pytest.raises(ValueError):
             histogram.percentile(101)
         with pytest.raises(ValueError):
             histogram.percentile(-1)
-
-    def test_histogram_as_dict_carries_percentiles(self):
-        registry = MetricRegistry()
-        histogram = registry.histogram("h", (8, 16))
-        for value in (4, 8, 12, 16, 99):
-            histogram.observe(value)
-        collected = registry.collect()["h"]
-        assert {"p50", "p95", "p99"} <= set(collected)
-        assert collected["p50"] == pytest.approx(histogram.percentile(50))
-
-    def test_summary_shows_percentiles(self):
-        from repro.core import CompressedMemoryController, compresso_config
-        from repro.memory import MemoryGeometry
-
-        tracer, _ = traced_run()
-        controller = CompressedMemoryController(
-            compresso_config(),
-            MemoryGeometry(installed_bytes=32 << 20))
-        controller.write_line(0, 0, bytes(range(64)))
-        registry = sample_controller(controller)
-        text = summary(tracer, registry=registry)
-        assert "p50=" in text and "p95=" in text and "p99=" in text
-
-    def test_sample_controller(self):
-        from repro.core import CompressedMemoryController, compresso_config
-        from repro.memory import MemoryGeometry
-
-        controller = CompressedMemoryController(
-            compresso_config(),
-            MemoryGeometry(installed_bytes=32 << 20))
-        controller.write_line(0, 0, bytes(range(64)))
-        collected = sample_controller(controller).collect()
-        assert collected["pages.resident"] >= 1
-        assert collected["lines.compressed_size_bytes"]["count"] > 0
-        assert 0.0 <= collected["metadata_cache.occupancy"] <= 1.0
-        assert "allocator.fragmentation" in collected
 
 
 class TestEventRegistry:

@@ -40,10 +40,11 @@ class TestPhysicalMemory:
 
     def test_utilization_tracks_allocation(self):
         memory = PhysicalMemory(MemoryGeometry(64 << 20))
-        assert memory.utilization() == 0.0
+        total = memory.free_bytes
+        assert memory.used_bytes == 0
         memory.allocator.allocate(100)
-        assert memory.utilization() > 0.0
         assert memory.used_bytes == 100 * 512
+        assert memory.free_bytes == total - 100 * 512
 
     def test_variable_allocation_backend(self):
         memory = PhysicalMemory(MemoryGeometry(64 << 20),

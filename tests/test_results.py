@@ -362,6 +362,27 @@ class TestCli:
             analysis_main(["compare", "nosuchrun", "baseline"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["index", "--metrics", "nosuchrun"], "no indexed run matches"),
+        (["index", "--metrics", "c", "--db", "missing.sqlite"],
+         "no index database at missing.sqlite"),
+        (["index", "--runs", "--db", "missing.sqlite"],
+         "no index database at missing.sqlite"),
+    ])
+    def test_index_listing_errors_are_usage_errors(
+            self, tmp_path, monkeypatch, capsys, argv, message):
+        """An unknown run or a missing database is a one-line usage
+        error, and listing never creates a database file."""
+        self._populate(tmp_path, monkeypatch,
+                       [1.50, 1.51, 1.52, 1.53, 1.54])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            analysis_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "missing.sqlite").exists()
+
     def test_runner_seeds_flag_fans_out(self, tmp_path, monkeypatch,
                                         capsys):
         """`run --seeds N` journals N seeded unit_end events per cell

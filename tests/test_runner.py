@@ -378,3 +378,16 @@ class TestCommandLine:
             analysis_main(argv)
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_resume_before_first_journal_runs(self, tmp_path, capsys,
+                                              monkeypatch):
+        """A journal that does not exist yet means nothing to resume."""
+        monkeypatch.chdir(tmp_path)
+        journal = tmp_path / "fresh.jsonl"
+        code = analysis_main(["run", "--resume", "--journal", str(journal),
+                              "--filter", "sec7", "--no-cache"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"resume: no interrupted runs in {journal}" in out
+        events = [record["event"] for record in read_journal(journal)]
+        assert events[0] == "run_start" and events[-1] == "run_end"

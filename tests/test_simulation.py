@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import compresso_config
 from repro.simulation import (
     SimulationConfig,
-    run_benchmark_systems,
     simulate,
     system_config,
 )
@@ -35,8 +34,8 @@ class TestSystemConfigs:
 class TestSimulate:
     def test_runs_all_systems(self):
         profile = get_profile("gcc")
-        results = run_benchmark_systems(
-            profile, ["uncompressed", "lcp", "compresso"], SIM)
+        results = {system: simulate(profile, system, SIM)
+                   for system in ("uncompressed", "lcp", "compresso")}
         assert set(results) == {"uncompressed", "lcp", "compresso"}
         for result in results.values():
             assert result.cycles > 0
@@ -72,9 +71,9 @@ class TestSimulate:
         """The paper's ordering on a split/metadata-bound benchmark:
         plain LCP pays splits and page faults that Compresso avoids."""
         profile = get_profile("mcf")
-        results = run_benchmark_systems(
-            profile, ["uncompressed", "lcp", "compresso"],
-            SimulationConfig(n_events=2000, scale=0.02, seed=3))
+        sim = SimulationConfig(n_events=2000, scale=0.02, seed=3)
+        results = {system: simulate(profile, system, sim)
+                   for system in ("uncompressed", "lcp", "compresso")}
         base = results["uncompressed"]
         lcp = results["lcp"].speedup_over(base)
         compresso = results["compresso"].speedup_over(base)
