@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.memory import MemoryGeometry
 from repro.osmodel import DynamicBudget, StaticBudget, VirtualMemory
-from repro.osmodel.paging import PagingCostModel, run_capacity_simulation
+from repro.osmodel.paging import run_capacity_simulation
 from repro.workloads import Workload, get_profile
 
 

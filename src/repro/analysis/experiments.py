@@ -38,7 +38,7 @@ from ..core.config import (
 from ..core.lcp import LCPPack
 from ..core.linepack import LinePack, split_access_fraction
 from ..core.stats import ControllerStats
-from ..energy.area import AdderModel, AreaReport, offset_adder_for_bins
+from ..energy.area import AreaReport, offset_adder_for_bins
 from ..energy.model import EnergyConstants, EnergyModel
 from ..obs import Tracer
 from ..runner import Runner, WorkUnit

@@ -569,3 +569,70 @@ class ConfigKnobDocumentedRule(ProjectRule):
                     and isinstance(stmt.target, ast.Name)
                 ]
         return []
+
+
+@register
+class UnusedImportRule(Rule):
+    """Every imported name is read somewhere in its module.
+
+    ``__init__.py`` files are exempt (they exist to re-export), as are
+    names a module lists in ``__all__``.  Quoted annotations count as
+    reads.  A side-effect import carries a ``disable=`` comment.
+    """
+
+    id = "unused-import"
+    severity = "error"
+    description = "imported names must be used (outside __init__.py and __all__)"
+
+    def applies_to(self, module: ModuleSource) -> bool:
+        return module.path.name != "__init__.py"
+
+    def check(self, module: ModuleSource) -> Iterable[Finding]:
+        imported: Dict[str, int] = {}
+        used = set()
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) \
+                        and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    if alias.name != "*":
+                        name = alias.asname or alias.name.split(".")[0]
+                        imported.setdefault(name, alias.lineno)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                used.update(self._quoted_names(node.returns))
+            elif isinstance(node, (ast.arg, ast.AnnAssign)):
+                used.update(self._quoted_names(node.annotation))
+        used.update(self._exported(module.tree))
+        for name, line in imported.items():
+            if name not in used:
+                yield module.finding(line, self.id, self.severity,
+                                     f"{name!r} imported but unused")
+
+    @staticmethod
+    def _quoted_names(annotation) -> List[str]:
+        """Names inside string annotations (``-> "PageLayout"``)."""
+        names: List[str] = []
+        for node in ast.walk(annotation) if annotation else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    expr = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.extend(sub.id for sub in ast.walk(expr)
+                             if isinstance(sub, ast.Name))
+        return names
+
+    @staticmethod
+    def _exported(tree: ast.Module) -> List[str]:
+        """String entries of a module-level ``__all__`` list or tuple."""
+        for stmt in tree.body:
+            if (isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in stmt.targets)
+                    and isinstance(stmt.value, (ast.List, ast.Tuple))):
+                return [elt.value for elt in stmt.value.elts
+                        if isinstance(elt, ast.Constant)]
+        return []

@@ -210,7 +210,7 @@ def get_rule(rule_id: str) -> Rule:
 
 def _ensure_builtins() -> None:
     """Import the built-in rule modules so their @register calls run."""
-    from . import builtin_rules  # noqa: F401
+    from . import builtin_rules  # reprolint: disable=unused-import
 
 
 def walk_calls(tree: ast.AST) -> Iterator[ast.Call]:

@@ -14,10 +14,11 @@ layout from its metadata after each controller operation and verifies:
   inflation pointers), so metadata and working state never drift;
 * **inflation room** — pointer count within the 17-pointer budget, no
   duplicate pointers, and the room inside the allocation (§III);
-* **allocator ownership** — the set of 512 B chunks (or buddy regions)
-  referenced by page metadata is exactly the set the allocator has
-  allocated: a chunk referenced but free is a double-free in waiting,
-  an allocated chunk no page references is a leak (§II-D);
+* **allocator ownership** — the set of MPFNs referenced by page
+  metadata (512 B chunks, or buddy-region bases) is exactly the set
+  the allocator has granted: an MPFN referenced but free is a
+  double-free in waiting, a granted MPFN no page references is a leak
+  (§II-D);
 * **data-desync** — each line's recorded ideal compressed size matches
   what the shadow payload actually compresses to, so bit flips in line
   data surface as a size disagreement (docs/ROBUSTNESS.md);
@@ -111,7 +112,7 @@ class MemorySanitizer:
         config = self.config
         meta = state.meta
         if not meta.valid or meta.zero:
-            if meta.size_chunks or meta.mpfns or state.region_base is not None:
+            if meta.size_chunks or meta.mpfns:
                 self._report("zero-page-storage", page,
                              f"invalid/zero page holds storage "
                              f"(size_chunks={meta.size_chunks})")
@@ -159,21 +160,20 @@ class MemorySanitizer:
         if bad_bins:
             self._report("metadata-desync", page,
                          f"line bin index out of range: {bad_bins[:4]}")
-        if config.allocation == "chunks":
-            if len(meta.mpfns) != meta.size_chunks:
+        allocator = controller.memory.allocator
+        # A contiguous region is named by its base MPFN alone.
+        expected = (min(meta.size_chunks, 1) if allocator.contiguous
+                    else meta.size_chunks)
+        if len(meta.mpfns) != expected:
+            self._report("metadata-desync", page,
+                         f"{len(meta.mpfns)} MPFNs for "
+                         f"{meta.size_chunks} chunks")
+        total = allocator.total_chunks
+        for mpfn in meta.mpfns:
+            if mpfn < 0 or mpfn >= total:
                 self._report("metadata-desync", page,
-                             f"{len(meta.mpfns)} MPFNs for "
-                             f"{meta.size_chunks} chunks")
-            total = controller.memory.allocator.total_chunks
-            for mpfn in meta.mpfns:
-                if mpfn < 0 or mpfn >= total:
-                    self._report("metadata-desync", page,
-                                 f"MPFN {mpfn} outside machine memory "
-                                 f"({total} chunks)")
-        else:
-            if meta.size_chunks and state.region_base is None:
-                self._report("metadata-desync", page,
-                             "allocated page has no region base")
+                             f"MPFN {mpfn} outside machine memory "
+                             f"({total} chunks)")
 
         inflated = meta.inflated_lines
         if len(inflated) > config.max_inflation_pointers:
@@ -277,63 +277,34 @@ class MemorySanitizer:
     # -- allocator ownership (§II-D) --------------------------------------
 
     def check_allocator(self, controller) -> None:
-        if self.config.allocation == "chunks":
-            self._check_chunk_ownership(controller)
-        else:
-            self._check_region_ownership(controller)
-
-    def _check_chunk_ownership(self, controller) -> None:
+        allocator = controller.memory.allocator
+        kind = "region" if allocator.contiguous else "chunk"
         owner: Dict[int, int] = {}
         for page, state in controller.pages.items():
-            for chunk in state.meta.mpfns:
-                if chunk in owner:
+            for mpfn in state.meta.mpfns:
+                if mpfn in owner:
                     self._report("alloc-ownership", page,
-                                 f"chunk {chunk} owned by both page "
-                                 f"{owner[chunk]} and page {page}")
+                                 f"{kind} {mpfn} owned by both page "
+                                 f"{owner[mpfn]} and page {page}")
                 else:
-                    owner[chunk] = page
-        allocated = controller.memory.allocator.owned_chunks()
-        for chunk, page in owner.items():
-            if chunk not in allocated:
-                self._report("alloc-double-free", page,
-                             f"page {page} references chunk {chunk} the "
-                             f"allocator has already freed")
-        leaked = allocated - set(owner)
-        if leaked:
-            self._report("alloc-leak", None,
-                         f"{len(leaked)} chunk(s) allocated but referenced "
-                         f"by no page, e.g. {sorted(leaked)[:4]}")
-
-    def _check_region_ownership(self, controller) -> None:
-        owner: Dict[int, int] = {}
-        for page, state in controller.pages.items():
-            base = state.region_base
-            if base is None:
-                continue
-            if base in owner:
-                self._report("alloc-ownership", page,
-                             f"region {base} owned by both page "
-                             f"{owner[base]} and page {page}")
-            else:
-                owner[base] = page
-        regions = controller.memory.allocator.owned_regions()
+                    owner[mpfn] = page
+        granted = allocator.owned()
         chunk = self.config.chunk_size
-        for base, page in owner.items():
-            if base not in regions:
+        for mpfn, page in owner.items():
+            if mpfn not in granted:
                 self._report("alloc-double-free", page,
-                             f"page {page} references region {base} the "
+                             f"page {page} references {kind} {mpfn} the "
                              f"allocator has already freed")
-            else:
-                state = controller.pages[page]
-                need = state.meta.size_chunks * chunk
-                if regions[base] < need:
+            elif allocator.contiguous:
+                need = controller.pages[page].meta.size_chunks
+                if granted[mpfn] < need:
                     self._report("alloc-ownership", page,
-                                 f"region {base} holds {regions[base]} B but "
-                                 f"page {page} needs {need} B")
-        leaked = set(regions) - set(owner)
+                                 f"region {mpfn} holds {granted[mpfn] * chunk}"
+                                 f" B but page {page} needs {need * chunk} B")
+        leaked = set(granted) - set(owner)
         if leaked:
             self._report("alloc-leak", None,
-                         f"{len(leaked)} region(s) allocated but referenced "
+                         f"{len(leaked)} {kind}(s) allocated but referenced "
                          f"by no page, e.g. {sorted(leaked)[:4]}")
 
     # -- metadata cache (§IV-B5) -------------------------------------------

@@ -10,7 +10,7 @@ compressed line sizes for every caller that only needs sizes.
 from .base import LINE_SIZE, CompressedLine, Compressor, SizeCache
 from .bdi import BDICompressor
 from .bitstream import BitReader, Bits, BitWriter
-from .bpc import BPCCompressor, compression_ratio
+from .bpc import BPCCompressor
 from .zero import is_zero_line
 
 __all__ = [
@@ -23,6 +23,5 @@ __all__ = [
     "BitWriter",
     "Bits",
     "SizeCache",
-    "compression_ratio",
     "is_zero_line",
 ]

@@ -41,13 +41,6 @@ class CompressedLine:
         """Encoded size rounded up to whole bytes (what packing uses)."""
         return (self.size_bits + 7) // 8
 
-    @property
-    def ratio(self) -> float:
-        """Compression ratio (>= 1.0 means the line shrank)."""
-        if self.size_bits == 0:
-            return float("inf")
-        return self.original_size * 8 / self.size_bits
-
 
 class Compressor(abc.ABC):
     """Abstract cache-line compressor."""
@@ -67,10 +60,6 @@ class Compressor(abc.ABC):
     @abc.abstractmethod
     def decompress(self, line: CompressedLine) -> bytes:
         """Invert :meth:`compress` exactly."""
-
-    def compressed_size_bits(self, data: bytes) -> int:
-        """Convenience wrapper returning only the encoded size."""
-        return self.compress(data).size_bits
 
     def compressed_size_bytes(self, data: bytes) -> int:
         return self.compress(data).size_bytes

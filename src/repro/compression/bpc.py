@@ -43,7 +43,7 @@ the mode, and a raw fallback guarantees the output never exceeds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from .base import CompressedLine, Compressor, bytes_of, words_of
 from .bitstream import BitReader, BitWriter, sign_extend
@@ -318,15 +318,3 @@ class BPCCompressor(Compressor):
             return sign_extend(reader.read(8), 8) & 0xFFFFFFFF
         return sign_extend(reader.read(16), 16) & 0xFFFFFFFF
 
-
-def compression_ratio(compressor: Compressor, lines) -> float:
-    """Aggregate compression ratio over an iterable of 64-byte lines."""
-    total_raw = 0
-    total_compressed = 0
-    for line in lines:
-        result = compressor.compress(line)
-        total_raw += len(line) * 8
-        total_compressed += max(result.size_bits, 1)
-    if total_compressed == 0:
-        return float("inf")
-    return total_raw / total_compressed

@@ -14,10 +14,8 @@ from ..memory.allocator import (
 from .ballooning import BalloonDriver, BalloonStats, FreeListOSModel
 from .config import (
     ALIGNMENT_FRIENDLY_LINE_BINS,
-    CHUNK_PAGE_SIZES,
     EIGHT_LINE_BINS,
     PRIOR_WORK_LINE_BINS,
-    VARIABLE_PAGE_SIZES,
     CompressoConfig,
     compresso_config,
     lcp_align_config,
@@ -30,8 +28,6 @@ from .metadata import (
     HALF_ENTRY_BITS,
     TOTAL_BITS,
     PageMetadata,
-    metadata_overhead_fraction,
-    metadata_region_bytes,
 )
 from .metadata_cache import MetadataCache, MetadataCacheStats
 from .packing import LineLocation, PageLayout, blocks_spanned, choose_bin
@@ -42,7 +38,6 @@ __all__ = [
     "ALIGNMENT_FRIENDLY_LINE_BINS",
     "BalloonDriver",
     "BalloonStats",
-    "CHUNK_PAGE_SIZES",
     "ChunkAllocator",
     "CompressedMemoryController",
     "CompressoConfig",
@@ -63,14 +58,11 @@ __all__ = [
     "PageState",
     "SaturatingCounter",
     "TOTAL_BITS",
-    "VARIABLE_PAGE_SIZES",
     "VariableAllocator",
     "blocks_spanned",
     "choose_bin",
     "compresso_config",
     "lcp_align_config",
     "lcp_config",
-    "metadata_overhead_fraction",
-    "metadata_region_bytes",
     "split_access_fraction",
 ]

@@ -15,7 +15,7 @@ behaviour it relies on: the OS hands over free pages first, then cold
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set
 
 from ..memory.allocator import OutOfMemoryError

@@ -25,7 +25,7 @@ invariants after every operation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..compression import BPCCompressor, SizeCache, is_zero_line
@@ -52,7 +52,6 @@ class PageState:
     data: List[Optional[bytes]]          # None = logically zero line
     ideal_sizes: List[int]               # fresh compressed size per line
     layout: Optional[PageLayout] = None  # cached, derived from meta
-    region_base: Optional[int] = None    # variable allocation: base chunk
     #: Set when the overflow predictor stored this page uncompressed;
     #: grants one eviction generation of repacking hysteresis so
     #: prediction and repacking do not ping-pong a streaming page.
@@ -72,9 +71,8 @@ class CompressedMemoryController:
         self.config = config
         self.geometry = geometry
         self.tracer = tracer
-        self.memory = PhysicalMemory(
-            geometry, allocation=config.allocation, chunk_size=config.chunk_size
-        )
+        self.memory = PhysicalMemory.for_config(geometry, config)
+        self.allocator = self.memory.allocator
         self._sizes = SizeCache(BPCCompressor(config.line_size))
         if config.packing == "linepack":
             self.packer = LinePack(
@@ -351,12 +349,7 @@ class CompressedMemoryController:
                 # No compression benefit: store the page uncompressed, so
                 # reads skip decompression and the metadata cache can use
                 # a half entry.
-                meta.compressed = False
-                raw_bin = len(self.config.line_bins) - 1
-                meta.line_bins = [raw_bin] * self.config.lines_per_page
-                meta.inflated_lines = []
-                state.layout = None
-                self._allocate(state, self.config.max_chunks_per_page)
+                self._mark_raw(state)
             else:
                 meta.compressed = True
                 self._apply_layout(state, layout)
@@ -389,15 +382,6 @@ class CompressedMemoryController:
         pending, self._pending = self._pending, []
         self._sanitize_all()
         return pending
-
-    def force_repack(self, page: int) -> bool:
-        """Explicitly repack one page (used by tests and the balloon)."""
-        state = self.pages.get(page)
-        if state is None or not state.meta.valid:
-            return False
-        repacked = self._maybe_repack(page, state)
-        self._sanitize_op(page)
-        return repacked
 
     def free_page(self, page: int) -> None:
         """Invalidate an OSPA page and release its storage (balloon path)."""
@@ -521,7 +505,9 @@ class CompressedMemoryController:
         machinery instead (inflation room, Dynamic IR Expansion, or an
         LCP page overflow).
         """
-        return self._chunks_for(max(512, layout.total_bytes))
+        chunk = self.config.chunk_size
+        return self.allocator.round_up(
+            (max(512, layout.total_bytes) + chunk - 1) // chunk)
 
     def _best_layout(self, sizes) -> PageLayout:
         """Pack fresh sizes, minimizing the *allocated* footprint.
@@ -544,61 +530,12 @@ class CompressedMemoryController:
         if line < 0 or line >= self.config.lines_per_page:
             raise ValueError(f"line {line} out of range")
 
-    def _chunks_for(self, total_bytes: int) -> int:
-        if total_bytes == 0:
-            return 0
-        chunk = self.config.chunk_size
-        chunks = (total_bytes + chunk - 1) // chunk
-        if self.config.allocation == "variable":
-            # Variable regions come in power-of-two sizes (§II-D).
-            size = chunk
-            while size < chunks * chunk:
-                size *= 2
-            chunks = size // chunk
-        return max(1, chunks)
-
     def _allocate(self, state: PageState, chunks: int) -> None:
         """(Re)allocate a page's storage to exactly ``chunks`` chunks."""
-        if self.config.allocation == "chunks":
-            current = state.meta.size_chunks
-            if chunks > current:
-                state.meta.mpfns.extend(
-                    self._allocate_chunks(chunks - current)
-                )
-            elif chunks < current:
-                self.memory.allocator.free(state.meta.mpfns[chunks:])
-                del state.meta.mpfns[chunks:]
-            state.meta.size_chunks = chunks
-        else:
-            if chunks == state.meta.size_chunks and (
-                chunks == 0 or state.region_base is not None
-            ):
-                return
-            old_base = state.region_base
-            if chunks:
-                state.region_base = self._allocate_region(chunks * 512)
-            else:
-                state.region_base = None
-            if old_base is not None:
-                self.memory.allocator.free_region(old_base)
-            state.meta.size_chunks = chunks
-            state.meta.mpfns = (
-                [state.region_base] if state.region_base is not None else []
-            )
-
-    def _allocate_chunks(self, count: int) -> List[int]:
-        try:
-            return self.memory.allocator.allocate(count)
-        except OutOfMemoryError:
-            self._relieve_pressure(count)
-            return self.memory.allocator.allocate(count)
-
-    def _allocate_region(self, size_bytes: int) -> int:
-        try:
-            return self.memory.allocator.allocate_region(size_bytes)
-        except OutOfMemoryError:
-            self._relieve_pressure(size_bytes // 512)
-            return self.memory.allocator.allocate_region(size_bytes)
+        meta = state.meta
+        meta.mpfns = self.allocator.resize(meta.mpfns, meta.size_chunks,
+                                           chunks, self._relieve_pressure)
+        meta.size_chunks = chunks
 
     def _relieve_pressure(self, chunks_needed: int) -> None:
         """Out of machine memory: balloon (§V-B), emergency-repack, or
@@ -630,14 +567,6 @@ class CompressedMemoryController:
             "entering degraded mode"
         )
 
-    def _can_allocate(self, chunks_needed: int) -> bool:
-        """Can the allocator satisfy this request without relief?"""
-        allocator = self.memory.allocator
-        if self.config.allocation == "chunks":
-            return allocator.free_chunks >= chunks_needed
-        return (allocator.largest_free_region()
-                >= chunks_needed * self.config.chunk_size)
-
     def _emergency_repack(self, chunks_needed: int) -> bool:
         """Sweep resident pages with the §IV-B4 repacker to free space.
 
@@ -656,13 +585,13 @@ class CompressedMemoryController:
                     continue
                 if self._maybe_repack(page, state):
                     swept += 1
-                    if self._can_allocate(chunks_needed):
+                    if self.allocator.can_allocate(chunks_needed):
                         break
             if swept:
                 self.stats.emergency_repacks += 1
                 self.tracer.emit("emergency_repack", pages=swept,
                                  chunks_needed=chunks_needed)
-            return self._can_allocate(chunks_needed)
+            return self.allocator.can_allocate(chunks_needed)
         finally:
             self._in_emergency_repack = False
 
@@ -679,7 +608,7 @@ class CompressedMemoryController:
         """Leave degraded mode once frees restore page-sized headroom."""
         if not self.degraded_mode:
             return
-        if not self._can_allocate(self.config.max_chunks_per_page):
+        if not self.allocator.can_allocate(self.config.max_chunks_per_page):
             return
         self.degraded_mode = False
         self.degraded_since = None
@@ -695,47 +624,42 @@ class CompressedMemoryController:
         storage the corrupt-or-denied metadata provably owns is freed.
         """
         self._defensive_release(page, state)
-        meta = state.meta
-        meta.valid = False
-        meta.zero = True
-        meta.compressed = True
-        meta.line_bins = [0] * self.config.lines_per_page
-        meta.inflated_lines = []
+        self._clear_to_zero(state)
         self.metadata_cache.invalidate(page)
         self.predictor.drop_page(page)
         self.stats.alloc_denials += 1
         self.tracer.emit("alloc_denied", page=page)
 
     def _release_storage(self, state: PageState) -> None:
-        if self.config.allocation == "chunks":
-            if state.meta.mpfns:
-                self.memory.allocator.free(state.meta.mpfns)
-        elif state.region_base is not None:
-            self.memory.allocator.free_region(state.region_base)
-        state.region_base = None
+        if state.meta.mpfns:
+            self.allocator.free(state.meta.mpfns)
         state.meta.mpfns = []
         state.meta.size_chunks = 0
-        state.meta.valid = False
-        state.meta.zero = True
-        state.meta.line_bins = [0] * self.config.lines_per_page
-        state.meta.inflated_lines = []
+        self._clear_to_zero(state)
+
+    def _clear_to_zero(self, state: PageState, valid: bool = False) -> None:
+        """Lay the page out as the all-zero page (storage untouched)."""
+        meta = state.meta
+        meta.valid = valid
+        meta.zero = True
+        meta.compressed = True
+        meta.line_bins = [0] * self.config.lines_per_page
+        meta.inflated_lines = []
         state.layout = None
+
+    def _mark_raw(self, state: PageState) -> None:
+        """Lay the page out uncompressed over a full-page allocation."""
+        meta = state.meta
+        meta.compressed = False
+        raw_bin = len(self.config.line_bins) - 1
+        meta.line_bins = [raw_bin] * self.config.lines_per_page
+        meta.inflated_lines = []
+        state.layout = None
+        self._allocate(state, self.config.max_chunks_per_page)
 
     def _mpa_address(self, state: PageState, offset: int) -> int:
         """MPA byte address of ``offset`` within the page's allocation."""
-        chunk_size = self.config.chunk_size
-        if self.config.allocation == "chunks":
-            index = offset // chunk_size
-            mpfns = state.meta.mpfns
-            if index >= len(mpfns):
-                raise ValueError(
-                    f"offset {offset} beyond allocation "
-                    f"({len(mpfns)} chunks)"
-                )
-            return mpfns[index] * chunk_size + offset % chunk_size
-        if state.region_base is None:
-            raise ValueError("page has no region allocated")
-        return state.region_base * chunk_size + offset
+        return self.allocator.address(state.meta.mpfns, offset)
 
     def _blocks_for(self, state: PageState, offset: int, size: int) -> List[int]:
         """64-byte block indices (within the page allocation) of a range."""
@@ -818,15 +742,12 @@ class CompressedMemoryController:
             self.stats.predictor_inflations += 1
             self.tracer.emit("predictor_inflation", page=page)
             state.predictor_inflated = True
-            self.stats.page_overflows += 1
-            self.tracer.emit("page_overflow", page=page)
-            self.predictor.on_page_overflow()
+            self._page_overflow(page)
             address = self._mpa_address(state, line * config.line_size)
             result.accesses.append(
                 MemAccess(AccessKind.WRITE, AccessCategory.DEMAND, address,
                           critical=False)
             )
-            self._os_page_fault(result)
             return
 
         # 2. Inflation room with free space and a free pointer (§III).
@@ -846,7 +767,7 @@ class CompressedMemoryController:
         #    (chunk allocation only, §IV-B3).
         if (
             config.enable_ir_expansion
-            and config.allocation == "chunks"
+            and not self.allocator.contiguous
             and meta.size_chunks < config.max_chunks_per_page
             and len(meta.inflated_lines) < config.max_inflation_pointers
         ):
@@ -890,45 +811,25 @@ class CompressedMemoryController:
         pays it line after line as the page climbs the size bins.
         """
         meta = state.meta
-        old_layout = self._layout(state)
         old_blocks = self._page_data_blocks(state)
         old_chunks = meta.size_chunks
-        start = old_layout.slot_offsets[line] // _BLOCK
+        start = self._layout(state).slot_offsets[line] // _BLOCK
 
         meta.line_bins[line] = new_bin
         state.layout = None
-        new_layout = self._layout(state)
-        new_chunks = self._alloc_chunks_for_layout(new_layout)
-        if self._should_store_raw(new_layout, new_chunks):
+        layout = self._layout(state)
+        new_chunks = self._alloc_chunks_for_layout(layout)
+        if new_chunks > old_chunks:
+            self._page_overflow(page)
+        if self._should_store_raw(layout, new_chunks):
             # The page no longer fits compressed: store it raw.
-            if new_chunks > old_chunks:
-                self.stats.page_overflows += 1
-                self.tracer.emit("page_overflow", page=page)
-                self.predictor.on_page_overflow()
-                self._os_page_fault(result)
             self._store_uncompressed(page, state, result,
                                      moved_lines=old_blocks)
             return
-        if new_chunks > old_chunks:
-            self.stats.page_overflows += 1
-            self.tracer.emit("page_overflow", page=page)
-            self.predictor.on_page_overflow()
-            self._os_page_fault(result)
-        self._allocate(state, max(new_chunks, old_chunks)
-                       if self.config.allocation == "chunks" else new_chunks)
-        new_blocks = (new_layout.total_bytes + _BLOCK - 1) // _BLOCK
-        if self.config.allocation == "variable" and new_chunks != old_chunks:
-            # Contiguous region: the whole page relocates.
-            moved_reads, moved_writes = old_blocks, new_blocks
-        else:
-            moved_reads = max(0, old_blocks - start)
-            moved_writes = max(1, new_blocks - start)
-        traffic = moved_reads + moved_writes
-        self.stats.overflow_accesses += traffic
-        self.tracer.emit("overflow_traffic", page=page, extra=traffic)
-        self._count_bulk(result, state, reads=moved_reads,
-                         writes=moved_writes,
-                         category=AccessCategory.OVERFLOW)
+        self._allocate(state, new_chunks if self.allocator.contiguous
+                       else max(new_chunks, old_chunks))
+        self._move_after_overflow(page, state, result, old_blocks, start,
+                                  resized=new_chunks != old_chunks)
 
     def _inflate_line(self, state: PageState, line: int) -> None:
         state.meta.inflated_lines.append(line)
@@ -938,7 +839,6 @@ class CompressedMemoryController:
         """64-byte blocks currently holding page data (movement cost)."""
         layout = self._layout(state)
         return (layout.total_bytes + _BLOCK - 1) // _BLOCK
-
 
     def _should_store_raw(self, layout: PageLayout, chunks: int) -> bool:
         """Store the page uncompressed instead of using this layout?
@@ -958,66 +858,63 @@ class CompressedMemoryController:
     def _store_uncompressed(self, page: int, state: PageState,
                             result: AccessResult, moved_lines: int) -> None:
         """Switch the page to a full uncompressed 4 KB allocation."""
-        meta = state.meta
-        old_blocks = moved_lines
-        meta.compressed = False
-        raw_bin = len(self.config.line_bins) - 1
-        meta.line_bins = [raw_bin] * self.config.lines_per_page
-        meta.inflated_lines = []
-        state.layout = None
-        self._allocate(state, self.config.max_chunks_per_page)
+        self._mark_raw(state)
         self.metadata_cache.reshape(page, half=True)
-        if old_blocks:
+        if moved_lines:
             lines_with_data = sum(1 for d in state.data if d is not None)
-            traffic = old_blocks + lines_with_data
+            traffic = moved_lines + lines_with_data
             self.stats.overflow_accesses += traffic
             self.tracer.emit("overflow_traffic", page=page, extra=traffic)
-            self._count_bulk(result, state, reads=old_blocks,
+            self._count_bulk(result, state, reads=moved_lines,
                              writes=lines_with_data,
                              category=AccessCategory.OVERFLOW)
 
     def _recompress(self, page: int, state: PageState, result: AccessResult,
                     overflowing_line: int) -> None:
         """Rewrite the page with fresh bins (line-overflow fallback)."""
-        meta = state.meta
         old_blocks = self._page_data_blocks(state)
-        old_chunks = meta.size_chunks
+        old_chunks = state.meta.size_chunks
         layout = self._best_layout(state.ideal_sizes)
         new_chunks = self._alloc_chunks_for_layout(layout)
+        if new_chunks > old_chunks:
+            self._page_overflow(page)
         if self._should_store_raw(layout, new_chunks):
             # Compression no longer pays for this page: go uncompressed.
-            if new_chunks > old_chunks:
-                self.stats.page_overflows += 1
-                self.tracer.emit("page_overflow", page=page)
-                self.predictor.on_page_overflow()
-                self._os_page_fault(result)
             self._store_uncompressed(page, state, result,
                                      moved_lines=old_blocks)
             return
         self._apply_layout(state, layout)
-        if new_chunks > old_chunks:
-            self.stats.page_overflows += 1
-            self.tracer.emit("page_overflow", page=page)
-            self.predictor.on_page_overflow()
-            self._os_page_fault(result)
         self._allocate(state, new_chunks)
-        new_blocks = (layout.total_bytes + _BLOCK - 1) // _BLOCK
-        if self.config.allocation == "variable" and new_chunks != old_chunks:
-            # The whole page relocates to a new contiguous region.
+        start = layout.slot_offsets[overflowing_line] // _BLOCK
+        self._move_after_overflow(page, state, result, old_blocks, start,
+                                  resized=new_chunks != old_chunks)
+
+    def _move_after_overflow(self, page: int, state: PageState,
+                             result: AccessResult, old_blocks: int,
+                             start: int, resized: bool) -> None:
+        """Count the data a grown page moves (Fig. 1c).
+
+        A contiguous region that changed size relocates whole; otherwise
+        the blocks from ``start`` onward shift in place.
+        """
+        new_blocks = self._page_data_blocks(state)
+        if resized and self.allocator.contiguous:
             moved_reads, moved_writes = old_blocks, new_blocks
         else:
-            # In-place shuffle: lines from the overflowing one onward move.
-            start = layout.slot_offsets[overflowing_line] // _BLOCK
-            moved_writes = max(1, new_blocks - start)
             moved_reads = max(0, old_blocks - start)
+            moved_writes = max(1, new_blocks - start)
         traffic = moved_reads + moved_writes
         self.stats.overflow_accesses += traffic
         self.tracer.emit("overflow_traffic", page=page, extra=traffic)
         self._count_bulk(result, state, reads=moved_reads, writes=moved_writes,
                          category=AccessCategory.OVERFLOW)
 
-    def _os_page_fault(self, result: AccessResult) -> None:
-        """OS-aware systems take a page fault on every page overflow."""
+    def _page_overflow(self, page: int) -> None:
+        """The page outgrew its size class (§IV-B2); OS-aware systems
+        also take a page fault on it."""
+        self.stats.page_overflows += 1
+        self.tracer.emit("page_overflow", page=page)
+        self.predictor.on_page_overflow()
         if not self.config.os_transparent:
             self.stats.os_page_faults += 1
             self.tracer.emit("os_page_fault")
@@ -1061,11 +958,7 @@ class CompressedMemoryController:
             if meta.size_chunks == 0:
                 return False
             self._allocate(state, 0)
-            meta.zero = True
-            meta.compressed = True
-            meta.line_bins = [0] * self.config.lines_per_page
-            meta.inflated_lines = []
-            state.layout = None
+            self._clear_to_zero(state, valid=True)
             self.stats.repack_events += 1
             self.tracer.emit("repack", page=page, extra=0, zero_drop=True)
             self.predictor.on_page_shrink()
@@ -1252,20 +1145,12 @@ class CompressedMemoryController:
         state.ideal_sizes = sizes
         if all(size == 0 for size in sizes):
             # Only zero lines survived: the page reverts to a zero page.
-            meta.valid = False
-            meta.zero = True
-            meta.compressed = True
-            meta.line_bins = [0] * self.config.lines_per_page
-            meta.inflated_lines = []
+            self._clear_to_zero(state)
         else:
             meta.valid = True
             meta.zero = False
-            meta.compressed = False
-            raw_bin = len(self.config.line_bins) - 1
-            meta.line_bins = [raw_bin] * self.config.lines_per_page
-            meta.inflated_lines = []
             try:
-                self._allocate(state, self.config.max_chunks_per_page)
+                self._mark_raw(state)
             except OutOfMemoryError:
                 self._deny_allocation(page, state)
                 return
@@ -1277,36 +1162,22 @@ class CompressedMemoryController:
     def _defensive_release(self, page: int, state: PageState) -> None:
         """Free only the storage this page's metadata *provably* owns.
 
-        Corrupt MPFNs or region pointers cannot be trusted: freeing a
-        chunk another page owns would spread the corruption.  A chunk
-        is released only if the allocator has it allocated and no other
-        page references it; anything left over is the leak-reclaim
-        sweep's job.
+        Corrupt MPFNs cannot be trusted: freeing storage another page
+        owns would spread the corruption.  An MPFN is released only if
+        the allocator has it granted and no other page references it;
+        anything left over is the leak-reclaim sweep's job.
         """
-        allocator = self.memory.allocator
-        if self.config.allocation == "chunks":
-            others: set = set()
-            for other, other_state in self.pages.items():
-                if other != page:
-                    others.update(other_state.meta.mpfns)
-            owned = allocator.owned_chunks()
-            to_free = [c for c in dict.fromkeys(state.meta.mpfns)
-                       if c in owned and c not in others]
-            if to_free:
-                allocator.free(to_free)
-        else:
-            base = state.region_base
-            if base is not None and base in allocator.owned_regions():
-                shared = any(
-                    other_state.region_base == base
-                    for other, other_state in self.pages.items()
-                    if other != page
-                )
-                if not shared:
-                    allocator.free_region(base)
+        others: set = set()
+        for other, other_state in self.pages.items():
+            if other != page:
+                others.update(other_state.meta.mpfns)
+        owned = self.allocator.owned()
+        to_free = [c for c in dict.fromkeys(state.meta.mpfns)
+                   if c in owned and c not in others]
+        if to_free:
+            self.allocator.free(to_free)
         state.meta.mpfns = []
         state.meta.size_chunks = 0
-        state.region_base = None
         state.layout = None
 
     def _recover_mdcache_entry(self, page: int) -> None:
@@ -1317,27 +1188,17 @@ class CompressedMemoryController:
 
     def _recover_allocator_books(self) -> None:
         """Free-list corruption: drop entries the allocated books refute."""
-        repaired = self.memory.allocator.repair_books()
+        repaired = self.allocator.repair_books()
         self.stats.recoveries += 1
         self.tracer.emit("recovery_alloc_books", entries=repaired)
 
     def _recover_leaked_storage(self) -> None:
         """Reclaim storage the allocator holds but no page references."""
-        allocator = self.memory.allocator
-        if self.config.allocation == "chunks":
-            referenced: set = set()
-            for state in self.pages.values():
-                referenced.update(state.meta.mpfns)
-            leaked = [c for c in allocator.owned_chunks()
-                      if c not in referenced]
-            if leaked:
-                allocator.free(leaked)
-        else:
-            bases = {state.region_base for state in self.pages.values()
-                     if state.region_base is not None}
-            leaked = [b for b in allocator.owned_regions()
-                      if b not in bases]
-            for base in leaked:
-                allocator.free_region(base)
+        referenced: set = set()
+        for state in self.pages.values():
+            referenced.update(state.meta.mpfns)
+        leaked = [c for c in self.allocator.owned() if c not in referenced]
+        if leaked:
+            self.allocator.free(leaked)
         self.stats.recoveries += 1
         self.tracer.emit("recovery_leak_reclaim", regions=len(leaked))

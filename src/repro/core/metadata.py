@@ -154,12 +154,3 @@ class PageMetadata:
             inflated_lines=pointers[:n_inflated],
         )
 
-
-def metadata_region_bytes(ospa_pages: int, config: CompressoConfig) -> int:
-    """Size of the dedicated metadata region (one entry per OSPA page)."""
-    return ospa_pages * config.metadata_entry_bytes
-
-
-def metadata_overhead_fraction(config: CompressoConfig) -> float:
-    """Metadata storage overhead relative to advertised capacity (~1.6%)."""
-    return config.metadata_entry_bytes / config.page_size

@@ -250,7 +250,7 @@ class FaultInjector:
         variants = ["size", "inflate"]
         if meta.compressed and state.layout is not None:
             variants.append("bin")
-        if config.allocation == "chunks" and meta.mpfns:
+        if not controller.memory.allocator.contiguous and meta.mpfns:
             variants.append("mpfn")
         variant = self.rng.choice(variants)
         if variant == "size":
@@ -298,12 +298,8 @@ class FaultInjector:
     def _inject_double_grant(self):
         """Re-list an allocated chunk/region as free (alloc-books)."""
         allocator = self.controller.memory.allocator
-        if self.controller.config.allocation == "chunks":
-            owned = sorted(allocator.owned_chunks())
-            kind = "chunk"
-        else:
-            owned = sorted(allocator.owned_regions())
-            kind = "region"
+        owned = sorted(allocator.owned())
+        kind = "region" if allocator.contiguous else "chunk"
         if not owned:
             return None
         target = self.rng.choice(owned)

@@ -11,12 +11,31 @@ Two schemes are compared in the paper:
   full relocation and the free space fragments.
 
 Both allocators work in 512-byte chunk units over the same machine
-memory and expose identical interfaces so the controller can use either.
+memory and share one interface, so the controller, the sanitizer and
+the fault injector never ask which scheme is in use.  A page's storage
+is its metadata's MPFN list: every chunk for :class:`ChunkAllocator`,
+the region's base chunk for :class:`VariableAllocator`.
+
+* ``resize(mpfns, current, chunks, relieve)`` grows or shrinks a page
+  from ``current`` to ``chunks`` chunks and returns its new MPFN list;
+  ``relieve(n)`` runs once when the grant fails, then the grant is
+  retried;
+* ``free(mpfns)`` releases a page's storage;
+* ``can_allocate(n)`` says whether ``n`` chunks can be granted now;
+* ``round_up(n)`` is the chunk count a request for ``n`` occupies;
+* ``address(mpfns, offset)`` is the MPA byte address of ``offset``
+  within the page;
+* ``owned()`` maps every granted base chunk to its size in chunks;
+* ``contiguous`` is True when a page is one region, so resizing it
+  relocates the whole page.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List
+
+#: Pressure-relief callback: asked to free this many chunks.
+Relieve = Callable[[int], None]
 
 
 class OutOfMemoryError(Exception):
@@ -25,6 +44,8 @@ class OutOfMemoryError(Exception):
 
 class ChunkAllocator:
     """Free-list allocator over fixed 512-byte chunks (Compresso)."""
+
+    contiguous = False
 
     def __init__(self, memory_bytes: int, chunk_size: int = 512) -> None:
         if memory_bytes % chunk_size:
@@ -69,18 +90,39 @@ class ChunkAllocator:
     def used_bytes(self) -> int:
         return self.used_chunks * self.chunk_size
 
-    def owned_chunks(self) -> frozenset:
-        """Snapshot of currently allocated chunk ids.
+    def resize(self, mpfns: List[int], current: int, chunks: int,
+               relieve: Relieve) -> List[int]:
+        """Add or drop chunks at the end of ``mpfns``, in place."""
+        if chunks > current:
+            need = chunks - current
+            try:
+                granted = self.allocate(need)
+            except OutOfMemoryError:
+                relieve(need)
+                granted = self.allocate(need)
+            mpfns.extend(granted)
+        elif chunks < current:
+            self.free(mpfns[chunks:])
+            del mpfns[chunks:]
+        return mpfns
 
-        Used by the memory-model sanitizer (``repro.check.sanitizer``)
-        to reconcile the allocator's books against the chunks page
-        metadata actually references.
-        """
-        return frozenset(self._allocated)
+    def can_allocate(self, chunks: int) -> bool:
+        return len(self._free) >= chunks
 
-    def chunk_base_address(self, chunk: int) -> int:
-        """MPA byte address of a chunk (used for DRAM bank mapping)."""
-        return chunk * self.chunk_size
+    def round_up(self, chunks: int) -> int:
+        return chunks
+
+    def address(self, mpfns: List[int], offset: int) -> int:
+        index = offset // self.chunk_size
+        if index >= len(mpfns):
+            raise ValueError(
+                f"offset {offset} beyond allocation ({len(mpfns)} chunks)")
+        return mpfns[index] * self.chunk_size + offset % self.chunk_size
+
+    def owned(self) -> Dict[int, int]:
+        # Iterates in frozenset order: the leak-reclaim sweep frees in
+        # this order, and the free list's order decides later grants.
+        return dict.fromkeys(frozenset(self._allocated), 1)
 
     # -- fault injection and self-check (docs/ROBUSTNESS.md) --------------
 
@@ -170,6 +212,8 @@ class VariableAllocator:
     large contiguous request.
     """
 
+    contiguous = True
+
     def __init__(self, memory_bytes: int, chunk_size: int = 512,
                  max_block: int = 4096) -> None:
         if memory_bytes % max_block:
@@ -231,18 +275,47 @@ class VariableAllocator:
             order += 1
         self._free_lists[order].append(base)
 
-    def region_size_bytes(self, base: int) -> int:
-        return self.chunk_size << self._allocated[base]
+    def resize(self, mpfns: List[int], current: int, chunks: int,
+               relieve: Relieve) -> List[int]:
+        """Relocate the page into a fresh region of ``chunks`` chunks.
 
-    def owned_regions(self) -> Dict[int, int]:
-        """Snapshot of allocated regions: base chunk id -> size in bytes.
-
-        Used by the memory-model sanitizer (``repro.check.sanitizer``)
-        to reconcile the buddy allocator's books against the regions
-        page state actually references.
+        The new region is granted before the old one is freed, as a
+        real relocation must copy between them.
         """
-        return {base: self.chunk_size << order
-                for base, order in self._allocated.items()}
+        if chunks == current and (chunks == 0 or mpfns):
+            return mpfns
+        granted: List[int] = []
+        if chunks:
+            size = chunks * self.chunk_size
+            try:
+                granted.append(self.allocate_region(size))
+            except OutOfMemoryError:
+                relieve(chunks)
+                granted.append(self.allocate_region(size))
+        self.free(mpfns)
+        return granted
+
+    def free(self, mpfns) -> None:
+        for base in mpfns:
+            self.free_region(base)
+
+    def can_allocate(self, chunks: int) -> bool:
+        return self.largest_free_region() >= chunks * self.chunk_size
+
+    def round_up(self, chunks: int) -> int:
+        """Regions come in power-of-two sizes (§II-D)."""
+        size = 1
+        while size < chunks:
+            size *= 2
+        return size
+
+    def address(self, mpfns: List[int], offset: int) -> int:
+        if not mpfns:
+            raise ValueError("page has no region allocated")
+        return mpfns[0] * self.chunk_size + offset
+
+    def owned(self) -> Dict[int, int]:
+        return {base: 1 << order for base, order in self._allocated.items()}
 
     @property
     def free_chunks(self) -> int:
@@ -264,9 +337,6 @@ class VariableAllocator:
             if self._free_lists[order]:
                 return self.chunk_size << order
         return 0
-
-    def chunk_base_address(self, chunk: int) -> int:
-        return chunk * self.chunk_size
 
     # -- fault injection and self-check (docs/ROBUSTNESS.md) --------------
 

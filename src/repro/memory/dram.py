@@ -16,7 +16,7 @@ compression traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from .request import AccessCategory, AccessKind, MemAccess

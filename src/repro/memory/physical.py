@@ -67,8 +67,13 @@ class PhysicalMemory:
             )
         else:
             raise ValueError(f"unknown allocation scheme {allocation!r}")
-        self.allocation = allocation
         self.chunk_size = chunk_size
+
+    @classmethod
+    def for_config(cls, geometry: MemoryGeometry, config) -> "PhysicalMemory":
+        """Memory laid out by a :class:`~repro.core.config.CompressoConfig`:
+        the one place its allocation scheme is read."""
+        return cls(geometry, config.allocation, config.chunk_size)
 
     @property
     def used_bytes(self) -> int:

@@ -53,6 +53,3 @@ class AccessResult:
     data: bytes = b""
     served_by_metadata: bool = False  # zero line: no DRAM access at all
     prefetch_hit: bool = False
-
-    def critical_accesses(self) -> list:
-        return [a for a in self.accesses if a.critical]

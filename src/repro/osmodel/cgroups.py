@@ -9,7 +9,6 @@ the benchmark dynamically according to its real-time compressibility").
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 

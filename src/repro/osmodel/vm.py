@@ -59,10 +59,6 @@ class VirtualMemory:
         self._allocated.move_to_end(page)
 
     @property
-    def allocated_pages(self) -> int:
-        return len(self._allocated)
-
-    @property
     def free_pages(self) -> int:
         return len(self._free)
 

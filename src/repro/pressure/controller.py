@@ -32,7 +32,7 @@ no RNG — keeping runs content-addressable by the runner cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..memory.allocator import OutOfMemoryError

@@ -20,7 +20,7 @@ per-interval series is the Fig. 9 comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -16,7 +16,6 @@ those design points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import (
@@ -89,8 +88,6 @@ def optimization_ladder() -> List[Tuple[str, CompressoConfig]]:
 
 def chunk_vs_variable_configs() -> Dict[str, CompressoConfig]:
     """Fig. 4's two allocation schemes (both unoptimized)."""
-    from ..core.config import CHUNK_PAGE_SIZES, VARIABLE_PAGE_SIZES
-
     common = dict(
         line_bins=PRIOR_WORK_LINE_BINS,
         enable_overflow_prediction=False,
@@ -99,10 +96,6 @@ def chunk_vs_variable_configs() -> Dict[str, CompressoConfig]:
         enable_metadata_half_entries=False,
     )
     return {
-        "fixed-512B": compresso_config(
-            allocation="chunks", page_sizes=CHUNK_PAGE_SIZES, **common
-        ),
-        "variable-4": compresso_config(
-            allocation="variable", page_sizes=VARIABLE_PAGE_SIZES, **common
-        ),
+        "fixed-512B": compresso_config(allocation="chunks", **common),
+        "variable-4": compresso_config(allocation="variable", **common),
     }

@@ -28,6 +28,7 @@ from ..workloads.tracegen import TraceGenerator, Workload
 from .simulator import (
     EventEngine,
     SimulationConfig,
+    _attach_injector,
     _build_controller,
 )
 
@@ -66,7 +67,11 @@ class MulticoreResult:
 def simulate_multicore(profiles: List[BenchmarkProfile], system: str,
                        sim: SimulationConfig = SimulationConfig(),
                        mix_name: str = "", tracer=None) -> MulticoreResult:
-    """Run a 4-benchmark mix on one system configuration."""
+    """Run a 4-benchmark mix on one system configuration.
+
+    ``sim.faults`` injects faults as in :func:`~.simulator.simulate`,
+    one injector step per interleaved event.
+    """
     if not profiles:
         raise ValueError("need at least one profile")
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -81,6 +86,7 @@ def simulate_multicore(profiles: List[BenchmarkProfile], system: str,
         total_pages += workload.pages
 
     controller = _build_controller(system, total_pages, sim, tracer=tracer)
+    injector = _attach_injector(controller, sim, tracer)
     with tracer.phase("install"):
         if sim.warm_install:
             for workload, offset in zip(workloads, offsets):
@@ -98,7 +104,8 @@ def simulate_multicore(profiles: List[BenchmarkProfile], system: str,
     for workload, offset, core in zip(workloads, offsets, cores):
         trace = TraceGenerator(workload, seed=sim.seed)
         engines.append(EventEngine(controller, dram, core, workload,
-                                   trace, sim, page_offset=offset))
+                                   trace, sim, page_offset=offset,
+                                   injector=injector))
         iterators.append(trace.events(sim.n_events))
 
     remaining = [sim.n_events] * len(profiles)

@@ -62,7 +62,8 @@ class SimulationConfig:
     sanitize: object = False
     #: Fault-injection spec (``repro.inject`` grammar, e.g.
     #: ``"line:0.01,meta:0.005"``); ``None`` disables injection.  The
-    #: injector is seeded from ``seed`` and steps once per trace event.
+    #: injector is seeded from ``seed`` and steps once per trace event
+    #: (per interleaved event in a multicore run).
     #: Pair with ``sanitize="recover"`` for detect-and-recover runs.
     faults: Optional[str] = None
 
@@ -75,7 +76,7 @@ class SimulationResult:
     system: str
     cycles: int
     instructions: int
-    controller_stats: Optional[ControllerStats]
+    controller_stats: ControllerStats
     dram_stats: DRAMStats
     ratio_timeline: List[float] = field(default_factory=list)
     #: Metadata-cache hit rate; ``None`` when the run produced no
@@ -103,12 +104,6 @@ class SimulationResult:
         if baseline.instructions != self.instructions:
             raise ValueError("speedup requires runs over the same trace")
         return baseline.cycles / self.cycles
-
-    @property
-    def mean_ratio(self) -> float:
-        if not self.ratio_timeline:
-            return 1.0
-        return float(np.mean(self.ratio_timeline))
 
 
 class UncompressedController:
@@ -170,14 +165,32 @@ def _build_controller(system: str, workload_pages: int,
                                       sanitize=sim.sanitize)
 
 
+def _attach_injector(controller, sim: SimulationConfig, tracer,
+                     injector=None):
+    """The fault injector for a run, bound to its controller.
+
+    Built from ``sim.faults`` unless one is given; ``None`` when there
+    is nothing to inject (no spec, or the uncompressed baseline).
+    """
+    if injector is None and sim.faults:
+        from ..inject import FaultInjector
+        injector = FaultInjector(sim.faults, seed=sim.seed)
+    if injector is None or isinstance(controller, UncompressedController):
+        return None
+    return injector.bind(controller, tracer)
+
+
 class EventEngine:
     """Processes one core's trace events against a (possibly shared)
-    controller + DRAM.  Used by both the single-core and 4-core drivers."""
+    controller + DRAM.  Used by both the single-core and 4-core drivers;
+    a bound fault injector steps once after every event."""
 
     def __init__(self, controller, dram: DRAMSystem, core: AnalyticCore,
                  workload: Workload, trace: TraceGenerator,
-                 sim: SimulationConfig, page_offset: int = 0) -> None:
+                 sim: SimulationConfig, page_offset: int = 0,
+                 injector=None) -> None:
         self.controller = controller
+        self.injector = injector
         self.dram = dram
         self.core = core
         self.workload = workload
@@ -217,6 +230,8 @@ class EventEngine:
                 latency = int(latency * (1.0 - sim.prefetch_hide))
             core.stall(latency)
             self._last_read = (event.page, event.line)
+        if self.injector is not None:
+            self.injector.step()
 
 
 def simulate(profile: BenchmarkProfile, system: str,
@@ -239,14 +254,7 @@ def simulate(profile: BenchmarkProfile, system: str,
     workload = Workload(profile, scale=sim.scale, seed=sim.seed)
     controller = _build_controller(system, workload.pages, sim, config,
                                    tracer=tracer)
-    if injector is None and sim.faults:
-        from ..inject import FaultInjector
-        injector = FaultInjector(sim.faults, seed=sim.seed)
-    if injector is not None:
-        if isinstance(controller, UncompressedController):
-            injector = None     # nothing to corrupt in the baseline
-        else:
-            injector.bind(controller, tracer)
+    injector = _attach_injector(controller, sim, tracer, injector)
     with tracer.phase("install"):
         if sim.warm_install:
             for page in range(workload.pages):
@@ -255,7 +263,8 @@ def simulate(profile: BenchmarkProfile, system: str,
     core = AnalyticCore(CoreConfig(), mlp=profile.mlp, cpi=profile.base_cpi)
     dram = DRAMSystem(n_channels=sim.dram_channels, timings=DRAMTimings())
     trace = TraceGenerator(workload, seed=sim.seed)
-    engine = EventEngine(controller, dram, core, workload, trace, sim)
+    engine = EventEngine(controller, dram, core, workload, trace, sim,
+                         injector=injector)
 
     ratio_timeline: List[float] = []
     sample_every = max(1, sim.n_events // max(1, sim.ratio_samples))
@@ -263,23 +272,18 @@ def simulate(profile: BenchmarkProfile, system: str,
     with tracer.phase("simulate"):
         for index, event in enumerate(trace.events(sim.n_events)):
             engine.step(event, progress=index / sim.n_events)
-            if injector is not None:
-                injector.step()
             if index % sample_every == 0:
                 ratio_timeline.append(max(1.0, controller.compression_ratio()))
 
     with tracer.phase("flush"):
         controller.flush_metadata()
-    cstats = controller.stats if not isinstance(
-        controller, UncompressedController
-    ) else None
     sanitizer = getattr(controller, "sanitizer", None)
     return SimulationResult(
         benchmark=profile.name,
         system=system,
         cycles=max(1, core.now),
         instructions=core.stats.instructions,
-        controller_stats=cstats or controller.stats,
+        controller_stats=controller.stats,
         dram_stats=dram.stats,
         ratio_timeline=ratio_timeline,
         final_ratio=max(1.0, controller.compression_ratio()),

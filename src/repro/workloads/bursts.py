@@ -95,7 +95,3 @@ class BurstSchedule:
         swing = 0.5 * (1.0 - math.cos(2.0 * math.pi *
                                       min(max(progress, 0.0), 1.0)))
         return min(1.0, 0.3 * self.intensity * swing * envelope)
-
-    def receded(self, progress: float) -> bool:
-        """Has this shape returned to baseline at ``progress``?"""
-        return progress >= 1.0 - RECEDE_TAIL / 2.0

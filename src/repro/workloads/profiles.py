@@ -19,7 +19,7 @@ and GemsFDTD / astar show strong compressibility phases (Fig. 9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .datagen import LineClass

@@ -86,9 +86,6 @@ class Workload:
     def page_lines(self, page: int):
         return [self.line_data(page, line) for line in range(LINES_PER_PAGE)]
 
-    def touched_lines(self) -> int:
-        return len(self._versions)
-
 
 class TraceGenerator:
     """Deterministic LLC event stream from a benchmark profile."""

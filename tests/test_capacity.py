@@ -1,7 +1,5 @@
 """Tests for the capacity-impact evaluation (§VI-A, Tab. II)."""
 
-import pytest
-
 from repro.simulation import (
     CapacityConfig,
     capacity_impact,

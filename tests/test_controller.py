@@ -10,7 +10,7 @@ from repro.core import (
     lcp_align_config,
     lcp_config,
 )
-from repro.memory import AccessCategory, AccessKind, MemoryGeometry
+from repro.memory import AccessCategory, MemoryGeometry
 
 
 def make_controller(config=None, installed_mb=32):
@@ -389,3 +389,26 @@ class TestFreePage:
         ctrl.free_page(3)
         assert ctrl.used_bytes() == 0
         assert ctrl.read_line(3, 0).data == bytes(64)
+
+
+class TestVariableAllocation:
+    def test_growing_page_relocates_and_frees_its_old_region(self):
+        config = compresso_config(allocation="variable",
+                                  enable_overflow_prediction=False)
+        geometry = MemoryGeometry(installed_bytes=32 * 1024 * 1024)
+        ctrl = CompressedMemoryController(config, geometry, sanitize="strict")
+        allocator = ctrl.memory.allocator
+        ctrl.write_line(3, 0, int_line(1))
+        meta = ctrl.pages[3].meta
+        old_mpfns, old_chunks = list(meta.mpfns), meta.size_chunks
+        line = 1
+        while meta.size_chunks == old_chunks:
+            ctrl.write_line(3, line, random_line(line))
+            line += 1
+        assert meta.size_chunks > old_chunks
+        assert len(meta.mpfns) == 1 and meta.mpfns != old_mpfns
+        assert old_mpfns[0] not in allocator.owned()
+        assert allocator.owned() == {meta.mpfns[0]: meta.size_chunks}
+        assert ctrl.stats.page_overflows >= 1
+        ctrl.flush_metadata()
+        assert ctrl.sanitizer.violations == []

@@ -26,8 +26,9 @@ from repro.inject import (
 )
 from repro.memory import MemoryGeometry
 from repro.obs import Tracer
+from repro.simulation.multicore import simulate_multicore
 from repro.simulation.simulator import SimulationConfig, simulate
-from repro.workloads.profiles import get_profile
+from repro.workloads import get_profile, mix_profiles
 
 #: Sites that corrupt state (vs. exert allocation pressure).
 CORRUPTION_SITES = ("line", "meta", "mdcache", "double-grant")
@@ -286,6 +287,15 @@ class TestSimulationWiring:
         result = simulate(get_profile("gcc"), "compresso", sim)
         assert result.faults_injected >= 1
         assert result.controller_stats.faults_detected >= 1
+
+    def test_simulate_multicore_with_faults_config(self):
+        """The 4-core driver steps the injector on every interleaved event."""
+        sim = SimulationConfig(n_events=300, scale=0.02, seed=3,
+                               sanitize="recover",
+                               faults="line:0.05,meta:0.05")
+        result = simulate_multicore(mix_profiles("mix4"), "compresso", sim)
+        assert result.controller_stats.faults_detected >= 1
+        assert result.controller_stats.recoveries >= 1
 
     def test_uncompressed_system_ignores_faults(self):
         sim = SimulationConfig(n_events=200, scale=0.05,

@@ -308,6 +308,32 @@ def test_mutable_default_rule(tmp_path):
     assert kept == []
 
 
+def test_unused_import_rule(tmp_path):
+    source = (
+        '"""doc."""\n'
+        "import os\n"
+        "import json.decoder\n"
+        "import sys  # reprolint: disable=unused-import\n"
+        "from typing import Dict, List, Optional\n"
+        "from .sibling import exported\n"
+        "__all__ = ['exported']\n"
+        "def f(x: 'Optional[int]') -> List[int]:\n"
+        "    return json.decoder.JSONDecoder, x\n"
+    )
+    kept, suppressed = _lint_snippet(
+        tmp_path, "src/repro/mod.py", source, ["unused-import"])
+    assert [(f.line, f.message) for f in kept] == [
+        (2, "'os' imported but unused"),
+        (5, "'Dict' imported but unused"),
+    ]
+    assert suppressed == 1
+
+    kept, _ = _lint_snippet(
+        tmp_path, "src/repro/pkg/__init__.py", '"""doc."""\nimport os\n',
+        ["unused-import"])
+    assert kept == []
+
+
 def test_stats_field_exists_rule(tmp_path):
     bad = (
         '"""doc."""\n'

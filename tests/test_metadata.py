@@ -9,8 +9,6 @@ from repro.core.metadata import (
     HALF_ENTRY_BITS,
     TOTAL_BITS,
     PageMetadata,
-    metadata_overhead_fraction,
-    metadata_region_bytes,
 )
 
 
@@ -21,14 +19,6 @@ class TestLayoutBudget:
     def test_half_entry_fits_32_bytes(self):
         """The §IV-B5 half-entry must fit flags + MPFNs in 32 bytes."""
         assert HALF_ENTRY_BITS <= 256
-
-    def test_overhead_is_about_1_6_percent(self):
-        config = compresso_config()
-        assert metadata_overhead_fraction(config) == pytest.approx(64 / 4096)
-
-    def test_region_size(self):
-        config = compresso_config()
-        assert metadata_region_bytes(1000, config) == 64000
 
 
 def _sample_metadata() -> PageMetadata:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.compression import BPCCompressor
 from repro.workloads import (
-    BENCHMARK_ORDER,
     CAPACITY_STALLERS,
     LINES_PER_PAGE,
     MIXES,
