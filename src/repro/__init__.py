@@ -1,7 +1,8 @@
 """Pure-Python reproduction of "Compresso: Pragmatic Main Memory
 Compression" (Choukse, Erez, Alameldeen — MICRO 2018).
 
-Subpackages: :mod:`repro.compression` (BPC/BDI),
+:mod:`repro.machine` holds the fixed machine of Tab. III (sizes,
+clock, latencies).  Subpackages: :mod:`repro.compression` (BPC/BDI),
 :mod:`repro.core` (the Compresso controller), :mod:`repro.memory`,
 :mod:`repro.cpu`, :mod:`repro.osmodel`,
 :mod:`repro.workloads`, :mod:`repro.simulation`, :mod:`repro.energy`,

@@ -40,6 +40,7 @@ from ..core.linepack import LinePack, split_access_fraction
 from ..core.stats import ControllerStats
 from ..energy.area import AreaReport, offset_adder_for_bins
 from ..energy.model import EnergyConstants, EnergyModel
+from ..machine import CHUNK_BYTES, PAGE_BYTES, chunks_for
 from ..obs import Tracer
 from ..runner import Runner, WorkUnit
 from ..simulation.capacity import (
@@ -152,6 +153,32 @@ def _stats_summary(stats: ControllerStats,
     return summary
 
 
+def _compresso_stats(runs) -> Dict[str, Any]:
+    """A per-system unit's journaled stats: those of its Compresso run."""
+    compresso = runs["compresso"]
+    return _stats_summary(compresso.controller_stats,
+                          ratio=compresso.final_ratio)
+
+
+def _with_sanitizer(output: Dict[str, Any], runs) -> Dict[str, Any]:
+    """Attach the ``sanitizer`` journal block, summed over a unit's runs.
+
+    The block is present when the unit's runs were sanitized, and it
+    carries ``faults_injected`` when they also ran a fault injector.
+    The uncompressed baseline has neither and adds nothing.
+    """
+    violations = [run.sanitizer_violations for run in runs
+                  if run.sanitizer_violations is not None]
+    if violations:
+        block = {"violations": sum(violations)}
+        faults = [run.faults_injected for run in runs
+                  if run.faults_injected is not None]
+        if faults:
+            block["faults_injected"] = sum(faults)
+        output["sanitizer"] = block
+    return output
+
+
 # ---------------------------------------------------------------------------
 # Fig. 2 — compression ratio: {BPC, BDI} x {LinePack, LCP}
 # ---------------------------------------------------------------------------
@@ -187,11 +214,9 @@ def _unit_fig2(benchmark: str, scale: ExperimentScale) -> dict:
                 for line in workload.page_lines(page)
             ]
             layout = packer.pack(sizes)
-            raw += 4096
+            raw += PAGE_BYTES
             if layout.total_bytes:
-                allocated += max(
-                    512, (layout.total_bytes + 511) // 512 * 512
-                )
+                allocated += chunks_for(layout.total_bytes) * CHUNK_BYTES
         row[combo] = raw / allocated if allocated else 64.0
     return {"row": row}
 
@@ -233,29 +258,18 @@ def _unit_fig4(benchmark: str, scale: ExperimentScale) -> dict:
     profile = PROFILES[benchmark]
     configs = chunk_vs_variable_configs()
     row: Dict[str, Any] = {"benchmark": profile.name}
-    stats = None
-    timeline = None
-    violations = None
-    ratio = None
+    runs = []
     for label, config in configs.items():
         prefix = "fixed" if label.startswith("fixed") else "var"
         run = _simulate_with_config(profile, config, scale)
+        runs.append(run)
         stats = run.controller_stats
-        timeline = run.timeline
-        ratio = run.final_ratio
-        if run.sanitizer_violations is not None:
-            violations = (violations or 0) + run.sanitizer_violations
         breakdown = stats.breakdown()
         row[f"{prefix}:total"] = stats.relative_extra_accesses()
         row[f"{prefix}:split"] = breakdown["split"]
         row[f"{prefix}:ovf"] = breakdown["overflow"]
         row[f"{prefix}:md"] = breakdown["metadata"]
-    output = {"row": row, "stats": _stats_summary(stats, ratio=ratio)}
-    if timeline is not None:
-        output["timeline"] = timeline
-    if violations is not None:
-        output["sanitizer"] = {"violations": violations}
-    return output
+    return _with_sanitizer(_sweep_output(row, runs[-1]), runs)
 
 
 def run_fig4(scale: ExperimentScale = DEFAULT,
@@ -297,6 +311,16 @@ def _simulate_with_config(profile, config, scale: ExperimentScale):
                     tracer=tracer)
 
 
+def _sweep_output(row: Dict[str, Any], last) -> Dict[str, Any]:
+    """Output of a unit that sweeps controller configs: its row, plus
+    the stats and (when traced) the timeline of its last run."""
+    output = {"row": row, "stats": _stats_summary(last.controller_stats,
+                                                  ratio=last.final_ratio)}
+    if last.timeline is not None:
+        output["timeline"] = last.timeline
+    return output
+
+
 # ---------------------------------------------------------------------------
 # Fig. 6 — the optimization ladder
 # ---------------------------------------------------------------------------
@@ -305,25 +329,12 @@ def _unit_fig6(benchmark: str, scale: ExperimentScale) -> dict:
     """Fig. 6 cell: the optimization ladder on one benchmark."""
     profile = PROFILES[benchmark]
     row: Dict[str, Any] = {"benchmark": profile.name}
-    stats = None
-    timeline = None
-    violations = None
-    ratio = None
+    runs = []
     for name, config in optimization_ladder():
         run = _simulate_with_config(profile, config, scale)
-        stats = run.controller_stats
-        timeline = run.timeline
-        ratio = run.final_ratio
-        if run.sanitizer_violations is not None:
-            violations = (violations or 0) + run.sanitizer_violations
-        row[name] = stats.relative_extra_accesses()
-    output = {"row": row, "stats": _stats_summary(stats, ratio=ratio)}
-    if timeline is not None:
-        output["timeline"] = timeline
-    if violations is not None:
-        output["sanitizer"] = {"violations": violations}
-    return output
-
+        runs.append(run)
+        row[name] = run.controller_stats.relative_extra_accesses()
+    return _with_sanitizer(_sweep_output(row, runs[-1]), runs)
 
 
 def run_fig6(scale: ExperimentScale = DEFAULT,
@@ -377,8 +388,10 @@ def _unit_fig7(benchmark: str, scale: ExperimentScale) -> dict:
         "without_repack": without_ratio,
         "relative": without_ratio / with_ratio,
     }
-    return {"row": row, "stats": _stats_summary(with_run.controller_stats,
-                                                ratio=with_ratio)}
+    return _with_sanitizer(
+        {"row": row, "stats": _stats_summary(with_run.controller_stats,
+                                             ratio=with_ratio)},
+        (with_run, without_run))
 
 
 def run_fig7(scale: ExperimentScale = DEFAULT,
@@ -503,9 +516,8 @@ def _unit_fig10(benchmark: str, scale: ExperimentScale,
     row["unconstrained:cap"] = capacity.relative("unconstrained")
     row["_stalled"] = bool(
         profile.name in CAPACITY_STALLERS or capacity.stalled)
-    return {"row": row,
-            "stats": _stats_summary(runs["compresso"].controller_stats,
-                                    ratio=runs["compresso"].final_ratio)}
+    return _with_sanitizer({"row": row, "stats": _compresso_stats(runs)},
+                           runs.values())
 
 
 def run_fig10(scale: ExperimentScale = DEFAULT,
@@ -586,10 +598,8 @@ def _unit_fig11(mix: str, scale: ExperimentScale,
         row[f"{system}:overall"] = (
             row[f"{system}:cycle"] * row[f"{system}:cap"])
     row["unconstrained:cap"] = capacity.relative("unconstrained")
-    ratio = runs["compresso"].ratio_timeline[-1]
-    return {"row": row,
-            "stats": _stats_summary(runs["compresso"].controller_stats,
-                                    ratio=ratio)}
+    return _with_sanitizer({"row": row, "stats": _compresso_stats(runs)},
+                           runs.values())
 
 
 def run_fig11(scale: ExperimentScale = DEFAULT,
@@ -659,9 +669,8 @@ def _unit_fig12(benchmark: str, scale: ExperimentScale) -> dict:
         "compresso:core": model.relative(
             energies["compresso"], baseline)["core"],
     }
-    return {"row": row,
-            "stats": _stats_summary(runs["compresso"].controller_stats,
-                                    ratio=runs["compresso"].final_ratio)}
+    return _with_sanitizer({"row": row, "stats": _compresso_stats(runs)},
+                           runs.values())
 
 
 def run_fig12(scale: ExperimentScale = DEFAULT,
@@ -728,9 +737,9 @@ def _unit_tab2(benchmark: str, scale: ExperimentScale,
             "compresso": capacity.relative("compresso"),
             "unconstrained": capacity.relative("unconstrained"),
         })
-    return {"budgets": budgets,
-            "stats": _stats_summary(runs["compresso"].controller_stats,
-                                    ratio=runs["compresso"].final_ratio)}
+    return _with_sanitizer(
+        {"budgets": budgets, "stats": _compresso_stats(runs)},
+        runs.values())
 
 
 def run_tab2(scale: ExperimentScale = DEFAULT,
@@ -798,9 +807,9 @@ def _unit_ablation(label: str, scale: ExperimentScale) -> dict:
     raw = allocated = 0
     for sizes in page_sizes:
         layout = packer.pack(sizes)
-        raw += 4096
+        raw += PAGE_BYTES
         if layout.total_bytes:
-            allocated += max(512, (layout.total_bytes + 511) // 512 * 512)
+            allocated += chunks_for(layout.total_bytes) * CHUNK_BYTES
 
     # Dynamic part: line-overflow frequency under this bin set, from the
     # gcc profile's overwrite phases (the overflow-heavy workload).
@@ -820,8 +829,9 @@ def _unit_ablation(label: str, scale: ExperimentScale) -> dict:
         "line_overflow_rate": overflow_rate,
         "split_fraction": split_access_fraction(flat_sizes, bins),
     }
-    return {"row": row, "stats": _stats_summary(stats,
-                                                ratio=row["ratio"])}
+    return _with_sanitizer(
+        {"row": row, "stats": _stats_summary(stats, ratio=row["ratio"])},
+        (run,))
 
 
 def run_ablation_design_space(scale: ExperimentScale = DEFAULT,

@@ -255,6 +255,47 @@ class MutableDefaultRule(Rule):
 
 
 @register
+class MachineConstantRule(Rule):
+    """The fixed machine of Tab. III is defined once, in ``machine.py``.
+
+    A parameter, field or constant elsewhere that restates one of its
+    quantities is a second copy nothing keeps in agreement: a settable
+    ``chunk_size`` once disagreed with a literal 512 B in
+    ``compression_ratio()``.
+    """
+
+    id = "machine-constant"
+    severity = "error"
+    description = ("machine sizes and clocks are defined only in "
+                   "src/repro/machine.py")
+
+    _NAMES = {"line_size", "chunk_size", "page_size", "lines_per_page",
+              "cpu_freq_ghz", "LINE_SIZE"}
+
+    def applies_to(self, module: ModuleSource) -> bool:
+        return (module.in_dirs("src/repro")
+                and module.relpath != "src/repro/machine.py")
+
+    def check(self, module: ModuleSource) -> Iterable[Finding]:
+        from .. import machine
+        names = self._NAMES | {name for name in vars(machine)
+                               if name.isupper()}
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.arg):
+                name = node.arg
+            elif isinstance(node, ast.Name) \
+                    and isinstance(node.ctx, ast.Store):
+                name = node.id
+            else:
+                continue
+            if name in names:
+                yield module.finding(
+                    node.lineno, self.id, self.severity,
+                    f"{name!r} restates a machine constant; import it "
+                    f"from repro.machine")
+
+
+@register
 class BareExceptRule(Rule):
     """No bare or silently-swallowing exception handlers.
 

@@ -44,6 +44,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..machine import (
+    CHUNK_BYTES,
+    CHUNKS_PER_PAGE,
+    INFLATION_POINTERS,
+    LINE_BYTES,
+    LINES_PER_PAGE,
+)
 from ..obs.tracer import NULL_TRACER
 
 
@@ -109,7 +116,6 @@ class MemorySanitizer:
     # -- page-scoped invariants -------------------------------------------
 
     def check_page(self, controller, page: int, state) -> None:
-        config = self.config
         meta = state.meta
         if not meta.valid or meta.zero:
             if meta.size_chunks or meta.mpfns:
@@ -118,7 +124,7 @@ class MemorySanitizer:
                              f"(size_chunks={meta.size_chunks})")
             return
 
-        allocation = meta.size_chunks * config.chunk_size
+        allocation = meta.size_chunks * CHUNK_BYTES
         self._check_metadata(controller, page, state, allocation)
         self._check_data(controller, page, state)
         if meta.compressed:
@@ -148,13 +154,13 @@ class MemorySanitizer:
                         allocation: int) -> None:
         meta = state.meta
         config = self.config
-        if meta.size_chunks < 0 or meta.size_chunks > config.max_chunks_per_page:
+        if meta.size_chunks < 0 or meta.size_chunks > CHUNKS_PER_PAGE:
             self._report("metadata-desync", page,
                          f"size_chunks out of range: {meta.size_chunks}")
-        if len(meta.line_bins) != config.lines_per_page:
+        if len(meta.line_bins) != LINES_PER_PAGE:
             self._report("metadata-desync", page,
                          f"{len(meta.line_bins)} line bins for "
-                         f"{config.lines_per_page} lines")
+                         f"{LINES_PER_PAGE} lines")
         n_bins = len(config.line_bins)
         bad_bins = [b for b in meta.line_bins if b < 0 or b >= n_bins]
         if bad_bins:
@@ -176,15 +182,15 @@ class MemorySanitizer:
                              f"({total} chunks)")
 
         inflated = meta.inflated_lines
-        if len(inflated) > config.max_inflation_pointers:
+        if len(inflated) > INFLATION_POINTERS:
             self._report("inflation-room", page,
                          f"{len(inflated)} inflated lines exceed "
-                         f"{config.max_inflation_pointers} pointers (§III)")
+                         f"{INFLATION_POINTERS} pointers (§III)")
         if len(set(inflated)) != len(inflated):
             self._report("inflation-room", page,
                          f"duplicate inflation pointers: {inflated}")
         out = [i for i in inflated
-               if i < 0 or i >= config.lines_per_page]
+               if i < 0 or i >= LINES_PER_PAGE]
         if out:
             self._report("inflation-room", page,
                          f"inflation pointer to nonexistent line: {out}")
@@ -243,7 +249,7 @@ class MemorySanitizer:
         if layout.inflated_lines:
             base = layout.inflation_base
             end = base + layout.inflation_bytes
-            if base % 64:
+            if base % LINE_BYTES:
                 self._report("inflation-room", page,
                              f"inflation room base {base} not 64 B-aligned")
             if base < layout.data_bytes:
@@ -262,10 +268,10 @@ class MemorySanitizer:
     def _check_uncompressed(self, page: int, state) -> None:
         config = self.config
         meta = state.meta
-        if meta.size_chunks != config.max_chunks_per_page:
+        if meta.size_chunks != CHUNKS_PER_PAGE:
             self._report("metadata-desync", page,
                          f"uncompressed page has {meta.size_chunks} chunks, "
-                         f"expected {config.max_chunks_per_page}")
+                         f"expected {CHUNKS_PER_PAGE}")
         raw_bin = len(config.line_bins) - 1
         if any(b != raw_bin for b in meta.line_bins):
             self._report("metadata-desync", page,
@@ -289,7 +295,6 @@ class MemorySanitizer:
                 else:
                     owner[mpfn] = page
         granted = allocator.owned()
-        chunk = self.config.chunk_size
         for mpfn, page in owner.items():
             if mpfn not in granted:
                 self._report("alloc-double-free", page,
@@ -299,8 +304,9 @@ class MemorySanitizer:
                 need = controller.pages[page].meta.size_chunks
                 if granted[mpfn] < need:
                     self._report("alloc-ownership", page,
-                                 f"region {mpfn} holds {granted[mpfn] * chunk}"
-                                 f" B but page {page} needs {need * chunk} B")
+                                 f"region {mpfn} holds "
+                                 f"{granted[mpfn] * CHUNK_BYTES} B but page "
+                                 f"{page} needs {need * CHUNK_BYTES} B")
         leaked = set(granted) - set(owner)
         if leaked:
             self._report("alloc-leak", None,

@@ -7,14 +7,13 @@ Fig. 2 comparison (DESIGN.md §1.2).  :class:`SizeCache` memoizes
 compressed line sizes for every caller that only needs sizes.
 """
 
-from .base import LINE_SIZE, CompressedLine, Compressor, SizeCache
+from .base import CompressedLine, Compressor, SizeCache
 from .bdi import BDICompressor
 from .bitstream import BitReader, Bits, BitWriter
 from .bpc import BPCCompressor
 from .zero import is_zero_line
 
 __all__ = [
-    "LINE_SIZE",
     "CompressedLine",
     "Compressor",
     "BDICompressor",

@@ -13,10 +13,8 @@ import abc
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from ..machine import LINE_BYTES
 from .bitstream import Bits
-
-#: Cache line size used throughout the reproduction (paper §II-A).
-LINE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -28,13 +26,11 @@ class CompressedLine:
         size_bits: exact encoded size in bits (0 for an all-zero line
             under algorithms with a zero special case).
         payload: the encoded bit stream, sufficient to decompress.
-        original_size: size of the uncompressed line in bytes.
     """
 
     algorithm: str
     size_bits: int
     payload: Bits
-    original_size: int = LINE_SIZE
 
     @property
     def size_bytes(self) -> int:
@@ -48,11 +44,6 @@ class Compressor(abc.ABC):
     #: Short algorithm name, e.g. ``"bpc"``.
     name: str = "abstract"
 
-    def __init__(self, line_size: int = LINE_SIZE) -> None:
-        if line_size <= 0 or line_size % 4 != 0:
-            raise ValueError(f"line_size must be a positive multiple of 4, got {line_size}")
-        self.line_size = line_size
-
     @abc.abstractmethod
     def compress(self, data: bytes) -> CompressedLine:
         """Compress one cache line; never returns more than raw size + header."""
@@ -65,9 +56,9 @@ class Compressor(abc.ABC):
         return self.compress(data).size_bytes
 
     def _check_input(self, data: bytes) -> None:
-        if len(data) != self.line_size:
+        if len(data) != LINE_BYTES:
             raise ValueError(
-                f"{self.name}: expected a {self.line_size}-byte line, got {len(data)} bytes"
+                f"{self.name}: expected a {LINE_BYTES}-byte line, got {len(data)} bytes"
             )
 
     def _check_line(self, line: CompressedLine) -> None:
@@ -92,7 +83,7 @@ class SizeCache:
 
     def __init__(self, compressor: Compressor) -> None:
         self._compressor = compressor
-        self._key = (compressor.name, compressor.line_size,
+        self._key = (compressor.name,
                      getattr(compressor, "transform_only", False))
 
     def size_bytes(self, data: bytes) -> int:

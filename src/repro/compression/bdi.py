@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..machine import LINE_BYTES
 from .base import CompressedLine, Compressor, bytes_of, words_of
 from .bitstream import BitReader, BitWriter, fits_signed, sign_extend, to_twos_complement
 from .zero import is_zero_line
@@ -73,7 +74,7 @@ class BDICompressor(Compressor):
             return self._finish(writer, size_bits=64)
 
         best: Optional[BitWriter] = None
-        best_size = self.line_size * 8
+        best_size = LINE_BYTES * 8
         for enc in _ENCODINGS:
             encoded = self._try_encoding(data, enc)
             if encoded is not None:
@@ -84,24 +85,22 @@ class BDICompressor(Compressor):
             return self._finish(best, size_bits=best_size)
 
         writer.write(_TAG_RAW, _TAG_BITS)
-        writer.write(int.from_bytes(data, "big"), self.line_size * 8)
-        return self._finish(writer, size_bits=self.line_size * 8)
+        writer.write(int.from_bytes(data, "big"), LINE_BYTES * 8)
+        return self._finish(writer, size_bits=LINE_BYTES * 8)
 
     def decompress(self, line: CompressedLine) -> bytes:
         self._check_line(line)
         reader = BitReader(line.payload)
         tag = reader.read(_TAG_BITS)
         if tag == _TAG_ZERO:
-            return bytes(line.original_size)
+            return bytes(LINE_BYTES)
         if tag == _TAG_REP:
             value = reader.read(64)
-            return value.to_bytes(8, "little") * (line.original_size // 8)
+            return value.to_bytes(8, "little") * (LINE_BYTES // 8)
         if tag == _TAG_RAW:
-            return reader.read(line.original_size * 8).to_bytes(
-                line.original_size, "big"
-            )
+            return reader.read(LINE_BYTES * 8).to_bytes(LINE_BYTES, "big")
         enc = next(e for e in _ENCODINGS if e.tag == tag)
-        nwords = line.original_size // enc.base_bytes
+        nwords = LINE_BYTES // enc.base_bytes
         base = reader.read(enc.base_bytes * 8)
         words = []
         for _ in range(nwords):
@@ -131,7 +130,7 @@ class BDICompressor(Compressor):
         return writer
 
     def _payload_bits(self, enc: _Encoding) -> int:
-        nwords = self.line_size // enc.base_bytes
+        nwords = LINE_BYTES // enc.base_bytes
         return (enc.base_bytes + nwords * enc.delta_bytes) * 8
 
     @staticmethod
@@ -142,4 +141,4 @@ class BDICompressor(Compressor):
         return None
 
     def _finish(self, writer: BitWriter, size_bits: int) -> CompressedLine:
-        return CompressedLine(self.name, size_bits, writer.to_bits(), self.line_size)
+        return CompressedLine(self.name, size_bits, writer.to_bits())

@@ -37,7 +37,7 @@ savings).  ``BPCCompressor`` implements exactly that: mode 1 is the
 delta transform above; mode 0 bit-plane-encodes the raw words (32
 planes of 16 bits, still with the plane XOR); a 1-bit header selects
 the mode, and a raw fallback guarantees the output never exceeds
-``line_size * 8 + 2`` bits.
+``LINE_BYTES * 8 + 2`` bits.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from ..machine import LINE_BYTES
 from .base import CompressedLine, Compressor, bytes_of, words_of
 from .bitstream import BitReader, BitWriter, sign_extend
 
@@ -214,10 +215,9 @@ class BPCCompressor(Compressor):
 
     name = "bpc"
 
-    def __init__(self, line_size: int = 64, transform_only: bool = False) -> None:
-        super().__init__(line_size)
+    def __init__(self, transform_only: bool = False) -> None:
         self.transform_only = transform_only
-        n_words = line_size // 4
+        n_words = LINE_BYTES // 4
         self._delta_geo = _PlaneGeometry(n_planes=_WORD_BITS + 1, width=n_words - 1)
         self._plain_geo = _PlaneGeometry(n_planes=_WORD_BITS, width=n_words)
         self._delta_coder = _PlaneCoder(self._delta_geo)
@@ -236,23 +236,21 @@ class BPCCompressor(Compressor):
             if plain.bit_length < best.bit_length:
                 best = plain
 
-        raw_bits = self.line_size * 8 + _MODE_BITS
+        raw_bits = LINE_BYTES * 8 + _MODE_BITS
         if best.bit_length >= raw_bits:
             writer = BitWriter()
             writer.write(_MODE_RAW, _MODE_BITS)
-            writer.write(int.from_bytes(data, "big"), self.line_size * 8)
+            writer.write(int.from_bytes(data, "big"), LINE_BYTES * 8)
             best = writer
         bits = best.to_bits()
-        return CompressedLine(self.name, bits.length, bits, self.line_size)
+        return CompressedLine(self.name, bits.length, bits)
 
     def decompress(self, line: CompressedLine) -> bytes:
         self._check_line(line)
         reader = BitReader(line.payload)
         mode = reader.read(_MODE_BITS)
         if mode == _MODE_RAW:
-            return reader.read(line.original_size * 8).to_bytes(
-                line.original_size, "big"
-            )
+            return reader.read(LINE_BYTES * 8).to_bytes(LINE_BYTES, "big")
         if mode == _MODE_PLAIN:
             words = self._plain_coder.decode(reader)
             return bytes_of(words, 4)

@@ -1,10 +1,11 @@
-"""Configuration for compressed-memory systems (paper Tab. III + §II/§IV).
+"""Configuration for compressed-memory systems (paper §II/§IV).
 
-Every design choice the paper discusses is a field here, so the
+Every design choice the paper compares is a field here, so the
 experiment harness can express the whole design space: packing scheme,
 allocation scheme (which fixes the legal page sizes), line-size bins,
 and each data-movement optimization independently (they are
-orthogonal, §IV-B).
+orthogonal, §IV-B).  The fixed machine of Tab. III (sizes, clock,
+latencies) is :mod:`repro.machine`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from typing import Tuple
+
+from ..machine import LINE_BYTES
 
 #: Alignment-friendly line bins Compresso uses (§IV-B1).
 ALIGNMENT_FRIENDLY_LINE_BINS: Tuple[int, ...] = (0, 8, 32, 64)
@@ -25,11 +28,6 @@ EIGHT_LINE_BINS: Tuple[int, ...] = (0, 8, 16, 24, 32, 40, 52, 64)
 class CompressoConfig:
     """Full parameterization of one compressed-memory design point."""
 
-    # -- geometry ---------------------------------------------------------
-    line_size: int = 64
-    page_size: int = 4096
-    chunk_size: int = 512
-
     # -- packing / allocation choices (§II-C, §II-D) ----------------------
     packing: str = "linepack"            # "linepack" | "lcp"
     allocation: str = "chunks"           # "chunks" | "variable"
@@ -37,8 +35,6 @@ class CompressoConfig:
 
     # -- metadata (§III) --------------------------------------------------
     metadata_cache_bytes: int = 96 * 1024
-    metadata_cache_assoc: int = 8
-    max_inflation_pointers: int = 17
 
     # -- data-movement optimizations (§IV-B), individually switchable -----
     enable_overflow_prediction: bool = True
@@ -50,35 +46,17 @@ class CompressoConfig:
     os_transparent: bool = True          # False models the OS-aware LCP system
     speculative_access: bool = False     # LCP's parallel speculative DRAM read
 
-    # -- latencies in CPU cycles (Tab. III) -------------------------------
-    compression_latency: int = 12
-    decompression_latency: int = 12
-    metadata_cache_hit_latency: int = 2
-
     def __post_init__(self) -> None:
-        if self.page_size % self.line_size:
-            raise ValueError("page_size must be a multiple of line_size")
-        if self.page_size % self.chunk_size:
-            raise ValueError("page_size must be a multiple of chunk_size")
         if self.packing not in ("linepack", "lcp"):
             raise ValueError(f"unknown packing {self.packing!r}")
         if self.allocation not in ("chunks", "variable"):
             raise ValueError(f"unknown allocation {self.allocation!r}")
         bins = self.line_bins
-        if bins[0] != 0 or bins[-1] != self.line_size or list(bins) != sorted(bins):
+        if bins[0] != 0 or bins[-1] != LINE_BYTES or list(bins) != sorted(bins):
             raise ValueError(
-                f"line_bins must be sorted, start at 0 and end at line_size: {bins}"
+                f"line_bins must be sorted, start at 0 and end at "
+                f"{LINE_BYTES}: {bins}"
             )
-
-    # -- derived ----------------------------------------------------------
-
-    @property
-    def lines_per_page(self) -> int:
-        return self.page_size // self.line_size
-
-    @property
-    def max_chunks_per_page(self) -> int:
-        return self.page_size // self.chunk_size
 
     def replace(self, **overrides) -> "CompressoConfig":
         """Return a copy with the given fields overridden."""

@@ -29,6 +29,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..compression import BPCCompressor, SizeCache, is_zero_line
+from ..machine import (
+    CHUNK_BYTES,
+    CHUNKS_PER_PAGE,
+    COMPRESSION_CYCLES,
+    DECOMPRESSION_CYCLES,
+    INFLATION_POINTERS,
+    LINE_BYTES,
+    LINES_PER_PAGE,
+    METADATA_HIT_CYCLES,
+    PAGE_BYTES,
+    chunks_for,
+)
 from ..memory.physical import MemoryGeometry, OutOfMemoryError, PhysicalMemory
 from ..memory.request import AccessCategory, AccessKind, AccessResult, MemAccess
 from ..obs.tracer import NULL_TRACER
@@ -40,8 +52,6 @@ from .metadata_cache import MetadataCache
 from .packing import PageLayout
 from .predictor import PageOverflowPredictor
 from .stats import ControllerStats
-
-_BLOCK = 64  # DRAM access granularity
 
 
 @dataclass
@@ -59,7 +69,7 @@ class PageState:
 
     @property
     def allocation_bytes(self) -> int:
-        return self.meta.size_chunks * 512
+        return self.meta.size_chunks * CHUNK_BYTES
 
 
 class CompressedMemoryController:
@@ -73,21 +83,14 @@ class CompressedMemoryController:
         self.tracer = tracer
         self.memory = PhysicalMemory.for_config(geometry, config)
         self.allocator = self.memory.allocator
-        self._sizes = SizeCache(BPCCompressor(config.line_size))
-        if config.packing == "linepack":
-            self.packer = LinePack(
-                config.line_bins, config.line_size, config.max_inflation_pointers
-            )
-        else:
-            self.packer = LCPPack(
-                config.line_bins, config.line_size, config.max_inflation_pointers
-            )
+        self._sizes = SizeCache(BPCCompressor())
+        packing = LinePack if config.packing == "linepack" else LCPPack
+        self.packer = packing(config.line_bins)
         self.predictor = PageOverflowPredictor(
             config.enable_overflow_prediction, tracer=tracer
         )
         self.metadata_cache = MetadataCache(
             config.metadata_cache_bytes,
-            config.metadata_cache_assoc,
             half_entries=config.enable_metadata_half_entries,
             on_evict=self._on_metadata_evict,
             tracer=tracer,
@@ -151,7 +154,7 @@ class CompressedMemoryController:
 
         self._metadata_access(page, state, result, for_write=False)
         data = state.data[line]
-        result.data = data if data is not None else bytes(self.config.line_size)
+        result.data = data if data is not None else bytes(LINE_BYTES)
 
         meta = state.meta
         if not meta.valid or meta.zero:
@@ -161,7 +164,7 @@ class CompressedMemoryController:
             return self._finish(result)
 
         if not meta.compressed:
-            address = self._mpa_address(state, line * self.config.line_size)
+            address = self._mpa_address(state, line * LINE_BYTES)
             result.accesses.append(
                 MemAccess(AccessKind.READ, AccessCategory.DEMAND, address)
             )
@@ -176,7 +179,7 @@ class CompressedMemoryController:
             return self._finish(result)
 
         result.controller_cycles += self.packer.offset_calc_cycles
-        result.controller_cycles += self.config.decompression_latency
+        result.controller_cycles += DECOMPRESSION_CYCLES
         blocks = self._blocks_for(state, location.offset, location.size)
         if all((page, block) in self._burst_buffer for block in blocks):
             self.stats.prefetch_hits += 1
@@ -188,7 +191,7 @@ class CompressedMemoryController:
             category = AccessCategory.DEMAND if index == 0 else AccessCategory.SPLIT
             result.accesses.append(
                 MemAccess(AccessKind.READ, category,
-                          self._mpa_address(state, block * _BLOCK))
+                          self._mpa_address(state, block * LINE_BYTES))
             )
             self._remember_block(page, block)
         if len(blocks) > 1:
@@ -199,8 +202,8 @@ class CompressedMemoryController:
     def write_line(self, page: int, line: int, data: bytes) -> AccessResult:
         """LLC writeback: store one 64-byte line."""
         self._check_address(page, line)
-        if len(data) != self.config.line_size:
-            raise ValueError(f"expected {self.config.line_size}-byte line")
+        if len(data) != LINE_BYTES:
+            raise ValueError(f"expected {LINE_BYTES}-byte line")
         self._active_page = page
         result = AccessResult()
         self.stats.demand_writes += 1
@@ -256,7 +259,7 @@ class CompressedMemoryController:
                 self.stats.line_underflows += 1
                 self.tracer.emit("line_underflow", page=page)
                 self.predictor.on_line_underflow(page)
-            address = self._mpa_address(state, line * self.config.line_size)
+            address = self._mpa_address(state, line * LINE_BYTES)
             result.accesses.append(
                 MemAccess(AccessKind.WRITE, AccessCategory.DEMAND, address,
                           critical=False)
@@ -271,7 +274,7 @@ class CompressedMemoryController:
                 self.stats.line_underflows += 1
                 self.tracer.emit("line_underflow", page=page)
                 self.predictor.on_line_underflow(page)
-            self._write_blocks(state, result, location.offset, _BLOCK,
+            self._write_blocks(state, result, location.offset, LINE_BYTES,
                                AccessCategory.DEMAND)
             return self._finish(result)
 
@@ -294,7 +297,7 @@ class CompressedMemoryController:
                 self.tracer.emit("zero_line_write", page=page)
                 result.served_by_metadata = True
                 return self._finish(result)
-            result.controller_cycles += self.config.compression_latency
+            result.controller_cycles += COMPRESSION_CYCLES
             self._write_blocks(state, result, location.offset,
                                self.packer.bin_bytes(new_bin),
                                AccessCategory.DEMAND)
@@ -309,7 +312,7 @@ class CompressedMemoryController:
         incompressible = new_bin == len(self.config.line_bins) - 1
         if incompressible:
             self.predictor.on_line_overflow(page)
-        result.controller_cycles += self.config.compression_latency
+        result.controller_cycles += COMPRESSION_CYCLES
         self._handle_line_overflow(page, state, line, result, incompressible)
         return self._finish(result)
 
@@ -321,8 +324,8 @@ class CompressedMemoryController:
         been written long before the measured region.
         """
         self._check_address(page, 0)
-        if len(lines) != self.config.lines_per_page:
-            raise ValueError(f"expected {self.config.lines_per_page} lines")
+        if len(lines) != LINES_PER_PAGE:
+            raise ValueError(f"expected {LINES_PER_PAGE} lines")
         state = self._page(page)
         if state.meta.valid:
             raise ValueError(f"page {page} already installed")
@@ -363,11 +366,10 @@ class CompressedMemoryController:
     def compression_ratio(self) -> float:
         """Effective compression: OSPA bytes stored / MPA bytes used."""
         stored = used = 0
-        page_size = self.config.page_size
         for state in self.pages.values():
             if not state.meta.valid:
                 continue
-            stored += page_size
+            stored += PAGE_BYTES
             used += state.allocation_bytes
         if used == 0:
             return float("inf") if stored else 1.0
@@ -402,13 +404,13 @@ class CompressedMemoryController:
     def _page(self, page: int) -> PageState:
         state = self.pages.get(page)
         if state is None:
-            lines = self.config.lines_per_page
             meta = PageMetadata(
                 valid=False, zero=True, compressed=True, size_chunks=0,
-                mpfns=[], line_bins=[0] * lines, inflated_lines=[],
+                mpfns=[], line_bins=[0] * LINES_PER_PAGE, inflated_lines=[],
             )
             state = PageState(
-                meta=meta, data=[None] * lines, ideal_sizes=[0] * lines
+                meta=meta, data=[None] * LINES_PER_PAGE,
+                ideal_sizes=[0] * LINES_PER_PAGE
             )
             self.pages[page] = state
         return state
@@ -422,7 +424,7 @@ class CompressedMemoryController:
         if hit:
             self.stats.metadata_hits += 1
             self.tracer.emit("metadata_hit", page=page)
-            result.controller_cycles += self.config.metadata_cache_hit_latency
+            result.controller_cycles += METADATA_HIT_CYCLES
         else:
             self.stats.metadata_misses += 1
             self.stats.metadata_miss_accesses += 1
@@ -505,9 +507,7 @@ class CompressedMemoryController:
         machinery instead (inflation room, Dynamic IR Expansion, or an
         LCP page overflow).
         """
-        chunk = self.config.chunk_size
-        return self.allocator.round_up(
-            (max(512, layout.total_bytes) + chunk - 1) // chunk)
+        return self.allocator.round_up(chunks_for(layout.total_bytes))
 
     def _best_layout(self, sizes) -> PageLayout:
         """Pack fresh sizes, minimizing the *allocated* footprint.
@@ -527,7 +527,7 @@ class CompressedMemoryController:
     def _check_address(self, page: int, line: int) -> None:
         if page < 0 or page >= self.geometry.ospa_pages:
             raise ValueError(f"OSPA page {page} out of range")
-        if line < 0 or line >= self.config.lines_per_page:
+        if line < 0 or line >= LINES_PER_PAGE:
             raise ValueError(f"line {line} out of range")
 
     def _allocate(self, state: PageState, chunks: int) -> None:
@@ -608,7 +608,7 @@ class CompressedMemoryController:
         """Leave degraded mode once frees restore page-sized headroom."""
         if not self.degraded_mode:
             return
-        if not self.allocator.can_allocate(self.config.max_chunks_per_page):
+        if not self.allocator.can_allocate(CHUNKS_PER_PAGE):
             return
         self.degraded_mode = False
         self.degraded_since = None
@@ -643,7 +643,7 @@ class CompressedMemoryController:
         meta.valid = valid
         meta.zero = True
         meta.compressed = True
-        meta.line_bins = [0] * self.config.lines_per_page
+        meta.line_bins = [0] * LINES_PER_PAGE
         meta.inflated_lines = []
         state.layout = None
 
@@ -652,10 +652,10 @@ class CompressedMemoryController:
         meta = state.meta
         meta.compressed = False
         raw_bin = len(self.config.line_bins) - 1
-        meta.line_bins = [raw_bin] * self.config.lines_per_page
+        meta.line_bins = [raw_bin] * LINES_PER_PAGE
         meta.inflated_lines = []
         state.layout = None
-        self._allocate(state, self.config.max_chunks_per_page)
+        self._allocate(state, CHUNKS_PER_PAGE)
 
     def _mpa_address(self, state: PageState, offset: int) -> int:
         """MPA byte address of ``offset`` within the page's allocation."""
@@ -665,8 +665,8 @@ class CompressedMemoryController:
         """64-byte block indices (within the page allocation) of a range."""
         if size <= 0:
             return []
-        first = offset // _BLOCK
-        last = (offset + size - 1) // _BLOCK
+        first = offset // LINE_BYTES
+        last = (offset + size - 1) // LINE_BYTES
         return list(range(first, last + 1))
 
     def _write_blocks(self, state: PageState, result: AccessResult,
@@ -682,7 +682,7 @@ class CompressedMemoryController:
                 block_category = category
             result.accesses.append(
                 MemAccess(AccessKind.WRITE, block_category,
-                          self._mpa_address(state, block * _BLOCK),
+                          self._mpa_address(state, block * LINE_BYTES),
                           critical=False)
             )
 
@@ -723,7 +723,7 @@ class CompressedMemoryController:
             i for i, size in enumerate(state.ideal_sizes) if size > 0
         )
         location = self._layout(state).locate(line)
-        size = location.size if meta.compressed else self.config.line_size
+        size = location.size if meta.compressed else LINE_BYTES
         self._write_blocks(state, result, location.offset, max(size, 1),
                            AccessCategory.DEMAND)
 
@@ -743,7 +743,7 @@ class CompressedMemoryController:
             self.tracer.emit("predictor_inflation", page=page)
             state.predictor_inflated = True
             self._page_overflow(page)
-            address = self._mpa_address(state, line * config.line_size)
+            address = self._mpa_address(state, line * LINE_BYTES)
             result.accesses.append(
                 MemAccess(AccessKind.WRITE, AccessCategory.DEMAND, address,
                           critical=False)
@@ -752,14 +752,14 @@ class CompressedMemoryController:
 
         # 2. Inflation room with free space and a free pointer (§III).
         layout = self._layout(state)
-        room_for_one = layout.inflation_base + layout.inflation_bytes + _BLOCK
+        room_for_one = layout.inflation_base + layout.inflation_bytes + LINE_BYTES
         if (
-            len(meta.inflated_lines) < config.max_inflation_pointers
+            len(meta.inflated_lines) < INFLATION_POINTERS
             and room_for_one <= state.allocation_bytes
         ):
             self._inflate_line(state, line)
             location = self._layout(state).locate(line)
-            self._write_blocks(state, result, location.offset, _BLOCK,
+            self._write_blocks(state, result, location.offset, LINE_BYTES,
                                AccessCategory.DEMAND)
             return
 
@@ -768,8 +768,8 @@ class CompressedMemoryController:
         if (
             config.enable_ir_expansion
             and not self.allocator.contiguous
-            and meta.size_chunks < config.max_chunks_per_page
-            and len(meta.inflated_lines) < config.max_inflation_pointers
+            and meta.size_chunks < CHUNKS_PER_PAGE
+            and len(meta.inflated_lines) < INFLATION_POINTERS
         ):
             self._allocate(state, meta.size_chunks + 1)
             self.stats.ir_expansions += 1
@@ -780,7 +780,7 @@ class CompressedMemoryController:
                 self.predictor.on_page_overflow()
             self._inflate_line(state, line)
             location = self._layout(state).locate(line)
-            self._write_blocks(state, result, location.offset, _BLOCK,
+            self._write_blocks(state, result, location.offset, LINE_BYTES,
                                AccessCategory.DEMAND)
             return
 
@@ -791,7 +791,7 @@ class CompressedMemoryController:
         #    slot (all slots share the target), so it recompresses the
         #    whole page with a new target (Fig. 5c option 1).
         pointers_exhausted = (
-            len(meta.inflated_lines) >= config.max_inflation_pointers
+            len(meta.inflated_lines) >= INFLATION_POINTERS
         )
         if self.config.packing == "lcp" or pointers_exhausted:
             # A full recompress also empties the inflation room, making
@@ -813,7 +813,7 @@ class CompressedMemoryController:
         meta = state.meta
         old_blocks = self._page_data_blocks(state)
         old_chunks = meta.size_chunks
-        start = self._layout(state).slot_offsets[line] // _BLOCK
+        start = self._layout(state).slot_offsets[line] // LINE_BYTES
 
         meta.line_bins[line] = new_bin
         state.layout = None
@@ -838,7 +838,7 @@ class CompressedMemoryController:
     def _page_data_blocks(self, state: PageState) -> int:
         """64-byte blocks currently holding page data (movement cost)."""
         layout = self._layout(state)
-        return (layout.total_bytes + _BLOCK - 1) // _BLOCK
+        return (layout.total_bytes + LINE_BYTES - 1) // LINE_BYTES
 
     def _should_store_raw(self, layout: PageLayout, chunks: int) -> bool:
         """Store the page uncompressed instead of using this layout?
@@ -850,10 +850,9 @@ class CompressedMemoryController:
         prior-work LCP pages at the largest size class still serve
         compressed (and split-prone) line reads.
         """
-        if chunks > self.config.max_chunks_per_page:
+        if chunks > CHUNKS_PER_PAGE:
             return True
-        return all(size >= self.config.line_size
-                   for size in layout.slot_sizes)
+        return all(size >= LINE_BYTES for size in layout.slot_sizes)
 
     def _store_uncompressed(self, page: int, state: PageState,
                             result: AccessResult, moved_lines: int) -> None:
@@ -885,7 +884,7 @@ class CompressedMemoryController:
             return
         self._apply_layout(state, layout)
         self._allocate(state, new_chunks)
-        start = layout.slot_offsets[overflowing_line] // _BLOCK
+        start = layout.slot_offsets[overflowing_line] // LINE_BYTES
         self._move_after_overflow(page, state, result, old_blocks, start,
                                   resized=new_chunks != old_chunks)
 
@@ -930,15 +929,15 @@ class CompressedMemoryController:
                     reads: int, writes: int,
                     category: AccessCategory) -> None:
         """Emit bulk movement accesses (page shuffles, repacks)."""
-        allocation = max(state.allocation_bytes, _BLOCK)
+        allocation = max(state.allocation_bytes, LINE_BYTES)
         for i in range(reads):
-            offset = (i * _BLOCK) % allocation
+            offset = (i * LINE_BYTES) % allocation
             result.accesses.append(
                 MemAccess(AccessKind.READ, category,
                           self._mpa_address(state, offset), critical=False)
             )
         for i in range(writes):
-            offset = (i * _BLOCK) % allocation
+            offset = (i * LINE_BYTES) % allocation
             result.accesses.append(
                 MemAccess(AccessKind.WRITE, category,
                           self._mpa_address(state, offset), critical=False)
@@ -967,10 +966,9 @@ class CompressedMemoryController:
         new_chunks = self._alloc_chunks_for_layout(layout)
         if new_chunks >= meta.size_chunks:
             return False
-        old_blocks = self._page_data_blocks(state) if meta.compressed else (
-            self.config.page_size // _BLOCK
-        )
-        new_blocks = (layout.total_bytes + _BLOCK - 1) // _BLOCK
+        old_blocks = (self._page_data_blocks(state) if meta.compressed
+                      else LINES_PER_PAGE)
+        new_blocks = (layout.total_bytes + LINE_BYTES - 1) // LINE_BYTES
         was_uncompressed = not meta.compressed
         old_bins = list(meta.line_bins)
         old_inflated = list(meta.inflated_lines)

@@ -14,12 +14,13 @@ page).  Deriving targets this way is what keeps a fresh LCP page from
 sitting exactly on its class boundary, where the first exception would
 force a whole-page relocation.
 
-Two target granularities model the paper's two baselines (§VI-F):
+The allowed targets are the configured line bins, which model the
+paper's two baselines (§VI-F):
 
-* ``aligned=False`` (plain LCP): byte-granular targets — maximum
-  compression, but slots of 22/44-like sizes straddle 64-byte DRAM
+* plain LCP (``lcp_config``) uses the prior work's 0/22/44/64 bins —
+  maximum compression, but 22/44 B slots straddle 64-byte DRAM
   boundaries (the §IV-A2 split-access problem);
-* ``aligned=True`` (LCP+Align): targets restricted to 0/8/16/32/64 —
+* LCP+Align (``lcp_align_config``) uses Compresso's 0/8/32/64 bins —
   slot offsets never cross a 64-byte boundary, at some compression
   cost.
 
@@ -32,59 +33,25 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from ..machine import CHUNK_BYTES, INFLATION_POINTERS, LINE_BYTES, PAGE_BYTES
 from .packing import PackingScheme, PageLayout
 
 #: Physical size classes of compressed LCP pages (§II-D variable chunks).
-DEFAULT_SIZE_CLASSES: Tuple[int, ...] = (512, 1024, 2048, 4096)
+SIZE_CLASSES: Tuple[int, ...] = (CHUNK_BYTES, 2 * CHUNK_BYTES,
+                                 4 * CHUNK_BYTES, PAGE_BYTES)
 
 #: Exception slots reserved inside each class at pack time.
 RESERVED_EXCEPTION_SLOTS = 2
 
-#: Targets whose slot offsets never straddle a 64-byte boundary.
-ALIGNED_TARGETS: Tuple[int, ...] = (0, 8, 16, 32, 64)
-
-
-def derive_targets(size_classes: Sequence[int] = DEFAULT_SIZE_CLASSES,
-                   aligned: bool = False, line_size: int = 64,
-                   lines_per_page: int = 64,
-                   reserved_slots: int = RESERVED_EXCEPTION_SLOTS
-                   ) -> Tuple[int, ...]:
-    """Per-class target line sizes, with exception room reserved.
-
-    For class ``c``: the largest target ``t`` with
-    ``lines * t + reserved_slots * line_size <= c`` — rounded down to an
-    alignment-friendly value when ``aligned``.  The raw line size is
-    always included (uncompressed pages).
-    """
-    targets = {0, line_size}
-    for size_class in size_classes:
-        budget = size_class - reserved_slots * line_size
-        target = max(0, budget // lines_per_page)
-        if aligned:
-            target = max(t for t in ALIGNED_TARGETS if t <= target)
-        targets.add(min(target, line_size))
-    return tuple(sorted(targets))
-
 
 class LCPPack(PackingScheme):
-    """LCP packing with class-derived targets and an exception region."""
+    """LCP packing with class-derived targets and an exception region.
+
+    The line bins are the allowed targets; packing still reserves
+    exception headroom inside each size class.
+    """
 
     name = "lcp"
-
-    def __init__(self, line_bins: Sequence[int] = None, line_size: int = 64,
-                 max_exceptions: int = 17,
-                 size_classes: Sequence[int] = DEFAULT_SIZE_CLASSES,
-                 aligned: bool = False) -> None:
-        self.size_classes = tuple(size_classes)
-        self.aligned = aligned
-        if line_bins is None:
-            line_bins = derive_targets(size_classes, aligned, line_size)
-        else:
-            # Caller-supplied bins (e.g. the §VI-F configs name the
-            # classic 0/22/44/64 or 0/8/32/64 sets): interpret them as
-            # the allowed targets, still packing with reserved headroom.
-            line_bins = tuple(sorted(set(line_bins) | {0, line_size}))
-        super().__init__(line_bins, line_size, max_exceptions)
 
     def pack_candidates(self, line_sizes: Sequence[int]) -> List[PageLayout]:
         """One layout per feasible (class, target) pair.
@@ -96,7 +63,7 @@ class LCPPack(PackingScheme):
         raw_bin = len(self.line_bins) - 1
         candidates = [self.layout_from_bins([raw_bin] * lines, ())]
         seen = set()
-        for size_class in self.size_classes:
+        for size_class in SIZE_CLASSES:
             target_bin = self._target_bin_for_class(size_class, lines)
             if target_bin is None or target_bin in seen:
                 continue
@@ -104,12 +71,12 @@ class LCPPack(PackingScheme):
             exceptions = tuple(
                 line for line, size in enumerate(line_sizes) if size > target
             )
-            if len(exceptions) > self.max_exceptions:
+            if len(exceptions) > INFLATION_POINTERS:
                 continue
             # The reserved slots exist *for* exceptions: headroom must
             # cover the larger of (current exceptions, the reserve).
             headroom = max(len(exceptions), RESERVED_EXCEPTION_SLOTS)
-            if lines * target + headroom * self.line_size > size_class:
+            if lines * target + headroom * LINE_BYTES > size_class:
                 continue
             seen.add(target_bin)
             candidates.append(
@@ -119,7 +86,7 @@ class LCPPack(PackingScheme):
 
     def _target_bin_for_class(self, size_class: int, lines: int):
         """Largest compressed target bin whose slots + reserve fit the class."""
-        budget = size_class - RESERVED_EXCEPTION_SLOTS * self.line_size
+        budget = size_class - RESERVED_EXCEPTION_SLOTS * LINE_BYTES
         best = None
         for index, target in enumerate(self.line_bins[:-1]):
             if target * lines <= budget:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..machine import LINES_PER_PAGE
 from .packing import PackingScheme, PageLayout
 
 
@@ -49,19 +50,19 @@ class LinePack(PackingScheme):
         return 1
 
 
-def split_access_fraction(line_sizes: Sequence[int], bins: Sequence[int],
-                          lines_per_page: int = 64) -> float:
+def split_access_fraction(line_sizes: Sequence[int],
+                          bins: Sequence[int]) -> float:
     """Fraction of lines whose LinePack slot straddles a 64 B boundary.
 
-    ``line_sizes`` is consumed in consecutive ``lines_per_page`` groups,
+    ``line_sizes`` is consumed in consecutive page-sized groups,
     each packed as its own page (offsets restart at every page).  This
     is the metric behind the §IV-B1 numbers (30.9% with 0/22/44/64 bins
     vs. 3.2% with 0/8/32/64).
     """
     pack = LinePack(bins)
     stored = split = 0
-    for start in range(0, len(line_sizes), lines_per_page):
-        page = list(line_sizes[start : start + lines_per_page])
+    for start in range(0, len(line_sizes), LINES_PER_PAGE):
+        page = list(line_sizes[start : start + LINES_PER_PAGE])
         layout = pack.pack(page)
         for line, size in enumerate(layout.slot_sizes):
             if size == 0:

@@ -21,6 +21,12 @@ from dataclasses import dataclass, field
 from typing import List
 
 from ..compression.bitstream import BitReader, BitWriter, Bits
+from ..machine import (
+    CHUNKS_PER_PAGE,
+    INFLATION_POINTERS,
+    LINES_PER_PAGE,
+    METADATA_ENTRY_BYTES,
+)
 from .config import CompressoConfig
 
 #: Field widths (bits).  8 MPFNs of 28 bits address 2^28 chunks of 512 B
@@ -29,30 +35,28 @@ _FLAG_BITS = 3          # valid, zero, compressed
 _SIZE_BITS = 4          # page size index (0..8 chunks)
 _FREE_BITS = 7          # tracked free space in 64 B units (0..64)
 _MPFN_BITS = 28
-_N_MPFNS = 8
 _INFLATION_PTR_BITS = 6
-_N_INFLATION_PTRS = 17
 _INFLATION_COUNT_BITS = 6
 _LINE_BIN_BITS = 2
-_N_LINES = 64
 
 #: Total must fit in a 64-byte entry.
 TOTAL_BITS = (
     _FLAG_BITS
     + _SIZE_BITS
     + _FREE_BITS
-    + _N_MPFNS * _MPFN_BITS
-    + _N_INFLATION_PTRS * _INFLATION_PTR_BITS
+    + CHUNKS_PER_PAGE * _MPFN_BITS
+    + INFLATION_POINTERS * _INFLATION_PTR_BITS
     + _INFLATION_COUNT_BITS
-    + _N_LINES * _LINE_BIN_BITS
+    + LINES_PER_PAGE * _LINE_BIN_BITS
 )
-assert TOTAL_BITS <= 64 * 8, f"metadata entry overflows 64 B: {TOTAL_BITS} bits"
+assert TOTAL_BITS <= METADATA_ENTRY_BYTES * 8, \
+    f"metadata entry overflows 64 B: {TOTAL_BITS} bits"
 
 #: The half-entry optimization (§IV-B5) caches only the first 32 bytes
 #: for uncompressed pages: flags, size, free space and the MPFNs fit in
 #: the first half; line sizes are implicitly 64 B and there are no
 #: inflated lines.
-HALF_ENTRY_BITS = _FLAG_BITS + _SIZE_BITS + _FREE_BITS + _N_MPFNS * _MPFN_BITS
+HALF_ENTRY_BITS = _FLAG_BITS + _SIZE_BITS + _FREE_BITS + CHUNKS_PER_PAGE * _MPFN_BITS
 assert HALF_ENTRY_BITS <= 32 * 8, f"half entry overflows 32 B: {HALF_ENTRY_BITS} bits"
 
 
@@ -66,7 +70,7 @@ class PageMetadata:
     size_chunks: int = 0              # allocated 512 B chunks (0..8)
     free_space: int = 0               # reclaimable space, 64 B units
     mpfns: List[int] = field(default_factory=list)
-    line_bins: List[int] = field(default_factory=lambda: [0] * _N_LINES)
+    line_bins: List[int] = field(default_factory=lambda: [0] * LINES_PER_PAGE)
     inflated_lines: List[int] = field(default_factory=list)
 
     def copy(self) -> "PageMetadata":
@@ -85,21 +89,21 @@ class PageMetadata:
 
     def check(self, config: CompressoConfig) -> None:
         """Raise if any structural invariant is violated."""
-        if self.size_chunks < 0 or self.size_chunks > config.max_chunks_per_page:
+        if self.size_chunks < 0 or self.size_chunks > CHUNKS_PER_PAGE:
             raise ValueError(f"size_chunks out of range: {self.size_chunks}")
         if len(self.mpfns) != self.size_chunks:
             raise ValueError(
                 f"{len(self.mpfns)} MPFNs for {self.size_chunks} chunks"
             )
-        if len(self.line_bins) != config.lines_per_page:
-            raise ValueError(f"expected {config.lines_per_page} line bins")
+        if len(self.line_bins) != LINES_PER_PAGE:
+            raise ValueError(f"expected {LINES_PER_PAGE} line bins")
         n_bins = len(config.line_bins)
         if any(b < 0 or b >= n_bins for b in self.line_bins):
             raise ValueError("line bin index out of range")
-        if len(self.inflated_lines) > config.max_inflation_pointers:
+        if len(self.inflated_lines) > INFLATION_POINTERS:
             raise ValueError(
                 f"{len(self.inflated_lines)} inflated lines exceed "
-                f"{config.max_inflation_pointers} pointers"
+                f"{INFLATION_POINTERS} pointers"
             )
         if len(set(self.inflated_lines)) != len(self.inflated_lines):
             raise ValueError("duplicate inflation pointers")
@@ -120,10 +124,10 @@ class PageMetadata:
         writer.write(int(self.compressed), 1)
         writer.write(self.size_chunks, _SIZE_BITS)
         writer.write(self.free_space, _FREE_BITS)
-        for i in range(_N_MPFNS):
+        for i in range(CHUNKS_PER_PAGE):
             writer.write(self.mpfns[i] if i < len(self.mpfns) else 0, _MPFN_BITS)
         writer.write(len(self.inflated_lines), _INFLATION_COUNT_BITS)
-        for i in range(_N_INFLATION_PTRS):
+        for i in range(INFLATION_POINTERS):
             line = self.inflated_lines[i] if i < len(self.inflated_lines) else 0
             writer.write(line, _INFLATION_PTR_BITS)
         for bin_index in self.line_bins:
@@ -139,10 +143,10 @@ class PageMetadata:
         compressed = bool(reader.read(1))
         size_chunks = reader.read(_SIZE_BITS)
         free_space = reader.read(_FREE_BITS)
-        mpfns = [reader.read(_MPFN_BITS) for _ in range(_N_MPFNS)][:size_chunks]
+        mpfns = [reader.read(_MPFN_BITS) for _ in range(CHUNKS_PER_PAGE)][:size_chunks]
         n_inflated = reader.read(_INFLATION_COUNT_BITS)
-        pointers = [reader.read(_INFLATION_PTR_BITS) for _ in range(_N_INFLATION_PTRS)]
-        line_bins = [reader.read(_LINE_BIN_BITS) for _ in range(_N_LINES)]
+        pointers = [reader.read(_INFLATION_PTR_BITS) for _ in range(INFLATION_POINTERS)]
+        line_bins = [reader.read(_LINE_BIN_BITS) for _ in range(LINES_PER_PAGE)]
         return cls(
             valid=valid,
             zero=zero,

@@ -18,6 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from ..machine import METADATA_CACHE_ASSOC, METADATA_ENTRY_BYTES
 from ..obs.tracer import NULL_TRACER
 
 
@@ -59,15 +60,14 @@ class MetadataCache:
     it as the dynamic-repacking trigger (§IV-B4).
     """
 
-    ENTRY_BYTES = 64
-
-    def __init__(self, capacity_bytes: int = 96 * 1024, assoc: int = 8,
+    def __init__(self, capacity_bytes: int,
+                 assoc: int = METADATA_CACHE_ASSOC,
                  half_entries: bool = True,
                  on_evict: Optional[Callable[[int, bool], None]] = None,
                  tracer=NULL_TRACER) -> None:
-        if capacity_bytes % (self.ENTRY_BYTES * assoc):
+        if capacity_bytes % (METADATA_ENTRY_BYTES * assoc):
             raise ValueError("capacity must divide into assoc x 64 B sets")
-        self.n_sets = capacity_bytes // (self.ENTRY_BYTES * assoc)
+        self.n_sets = capacity_bytes // (METADATA_ENTRY_BYTES * assoc)
         self.assoc = assoc
         self.half_entries = half_entries
         self.slots_per_set = assoc * 2  # capacity in 32 B sub-slots

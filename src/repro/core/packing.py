@@ -13,6 +13,8 @@ import abc
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from ..machine import LINE_BYTES
+
 
 def choose_bin(size_bytes: int, bins: Sequence[int]) -> int:
     """Index of the smallest bin that holds ``size_bytes`` (bins sorted).
@@ -26,11 +28,11 @@ def choose_bin(size_bytes: int, bins: Sequence[int]) -> int:
     return len(bins) - 1
 
 
-def blocks_spanned(offset: int, size: int, block: int = 64) -> int:
-    """Number of ``block``-byte DRAM blocks a [offset, offset+size) access touches."""
+def blocks_spanned(offset: int, size: int) -> int:
+    """Number of 64 B DRAM blocks a [offset, offset+size) access touches."""
     if size <= 0:
         return 0
-    return (offset + size - 1) // block - offset // block + 1
+    return (offset + size - 1) // LINE_BYTES - offset // LINE_BYTES + 1
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,9 @@ class LineLocation:
     size: int            # allocated slot size in bytes
     inflated: bool       # stored raw in the inflation/exception room?
 
-    def accesses(self, block: int = 64) -> int:
+    def accesses(self) -> int:
         """DRAM accesses needed to fetch this line (2 if split, §IV-A2)."""
-        return blocks_spanned(self.offset, self.size, block)
+        return blocks_spanned(self.offset, self.size)
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class PageLayout:
 
     @property
     def inflation_bytes(self) -> int:
-        return 64 * len(self.inflated_lines)
+        return LINE_BYTES * len(self.inflated_lines)
 
     @property
     def inflation_base(self) -> int:
@@ -70,7 +72,7 @@ class PageLayout:
         chunk (§IV-B3) — the expansion costs one cache-line write, not
         a shuffle of the room.
         """
-        return (self.data_bytes + 63) // 64 * 64
+        return (self.data_bytes + LINE_BYTES - 1) // LINE_BYTES * LINE_BYTES
 
     @property
     def total_bytes(self) -> int:
@@ -83,8 +85,8 @@ class PageLayout:
         """Physical location of ``line`` within the page allocation."""
         if line in self.inflated_lines:
             slot = self.inflated_lines.index(line)
-            offset = self.inflation_base + 64 * slot
-            return LineLocation(offset=offset, size=64, inflated=True)
+            offset = self.inflation_base + LINE_BYTES * slot
+            return LineLocation(offset=offset, size=LINE_BYTES, inflated=True)
         return LineLocation(
             offset=self.slot_offsets[line],
             size=self.slot_sizes[line],
@@ -97,13 +99,10 @@ class PackingScheme(abc.ABC):
 
     name: str = "abstract"
 
-    def __init__(self, line_bins: Sequence[int], line_size: int = 64,
-                 max_exceptions: int = 17) -> None:
-        if line_bins[-1] != line_size:
+    def __init__(self, line_bins: Sequence[int]) -> None:
+        if line_bins[-1] != LINE_BYTES:
             raise ValueError("largest bin must equal the raw line size")
         self.line_bins = tuple(line_bins)
-        self.line_size = line_size
-        self.max_exceptions = max_exceptions
 
     def bin_index(self, size_bytes: int) -> int:
         return choose_bin(size_bytes, self.line_bins)

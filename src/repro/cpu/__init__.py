@@ -1,5 +1,5 @@
 """CPU core timing substrate (DESIGN.md)."""
 
-from .core import AnalyticCore, CoreConfig, CoreStats
+from .core import AnalyticCore, CoreStats
 
-__all__ = ["AnalyticCore", "CoreConfig", "CoreStats"]
+__all__ = ["AnalyticCore", "CoreStats"]

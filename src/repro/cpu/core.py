@@ -1,6 +1,6 @@
 """Analytic out-of-order core timing model (paper Tab. III).
 
-A 3 GHz, 4-wide OOO core with a 192-entry ROB.  Rather than simulating
+A 3 GHz, 4-wide OOO core (:mod:`repro.machine`).  Rather than simulating
 the pipeline, we use the standard first-order model for trace-driven
 memory studies: non-memory work retires at the issue width, demand
 misses stall the core for their latency divided by the workload's
@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class CoreConfig:
-    freq_ghz: float = 3.0
-    issue_width: int = 4
-    rob_entries: int = 192
+from ..machine import CPU_FREQ_GHZ, ISSUE_WIDTH
 
 
 @dataclass
@@ -37,15 +32,13 @@ class CoreStats:
 class AnalyticCore:
     """Accumulates time for instruction gaps and memory stalls."""
 
-    def __init__(self, config: CoreConfig = CoreConfig(), mlp: float = 2.0,
-                 cpi: float = 0.5) -> None:
+    def __init__(self, mlp: float = 2.0, cpi: float = 0.5) -> None:
         if mlp <= 0:
             raise ValueError("memory-level parallelism must be positive")
-        self.config = config
         self.mlp = mlp
         # Dependency chains keep real cores well below the issue width;
         # the workload profile supplies its non-memory CPI.
-        self.cpi = max(1.0 / config.issue_width, cpi)
+        self.cpi = max(1.0 / ISSUE_WIDTH, cpi)
         self.stats = CoreStats()
         self.now = 0  # current cycle
 
@@ -67,4 +60,4 @@ class AnalyticCore:
         self.stats.stall_cycles += effective
 
     def seconds(self) -> float:
-        return self.now / (self.config.freq_ghz * 1e9)
+        return self.now / (CPU_FREQ_GHZ * 1e9)

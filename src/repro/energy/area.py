@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..machine import LINES_PER_PAGE
+
 #: Paper-reported synthesis numbers (§VII-D).
 BPC_AREA_UM2 = 43_000.0
 BPC_GATES_NAND2 = 61_000
@@ -29,7 +31,8 @@ GATE_DELAYS_PER_CYCLE_DDR4_2666 = 30
 class AdderModel:
     """Gate-level estimate for the LinePack offset calculation (§VII-E)."""
 
-    n_inputs: int = 63
+    #: The offset of the last line sums the sizes of the lines before it.
+    n_inputs: int = LINES_PER_PAGE - 1
     input_bits: int = 4
 
     @property
@@ -74,7 +77,7 @@ def offset_adder_for_bins(line_bins: Sequence[int]) -> AdderModel:
     nonzero = [b for b in line_bins if b]
     shift = min((b & -b).bit_length() - 1 for b in nonzero)
     max_addend = max(nonzero) >> shift
-    return AdderModel(n_inputs=63, input_bits=max(1, max_addend.bit_length()))
+    return AdderModel(input_bits=max(1, max_addend.bit_length()))
 
 
 @dataclass(frozen=True)

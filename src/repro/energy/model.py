@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.stats import ControllerStats
+from ..machine import CPU_FREQ_GHZ
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,8 @@ class EnergyBreakdown:
 class EnergyModel:
     """Computes Fig. 12-style energy from simulation outputs."""
 
-    def __init__(self, constants: EnergyConstants = EnergyConstants(),
-                 cpu_freq_ghz: float = 3.0) -> None:
+    def __init__(self, constants: EnergyConstants = EnergyConstants()) -> None:
         self.constants = constants
-        self.cpu_freq_ghz = cpu_freq_ghz
-
-    def _seconds(self, cycles: int) -> float:
-        return cycles / (self.cpu_freq_ghz * 1e9)
 
     def evaluate(self, cycles: int, dram_reads: int, dram_writes: int,
                  stats: ControllerStats = None) -> EnergyBreakdown:
@@ -84,7 +80,7 @@ class EnergyModel:
         or metadata-cache activity).
         """
         k = self.constants
-        seconds = self._seconds(cycles)
+        seconds = cycles / (CPU_FREQ_GHZ * 1e9)
         dram_dynamic = (dram_reads * k.dram_read_nj
                         + dram_writes * k.dram_write_nj)
         dram_background = k.dram_background_mw * 1e-3 * seconds * 1e9

@@ -40,6 +40,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
+from ..machine import CHUNKS_PER_PAGE, LINE_BYTES, LINES_PER_PAGE
 from ..obs.tracer import NULL_TRACER
 
 #: Recognised fault sites, in spec-grammar order.
@@ -207,12 +208,11 @@ class FaultInjector:
     def _inject_line(self):
         """Bit-flip a compressible line's shadow payload (data-desync)."""
         controller = self.controller
-        line_size = controller.config.line_size
         candidates = []
         for page, state in self._compressed_pages():
             lines = [line for line, data in enumerate(state.data)
                      if data is not None
-                     and 0 < state.ideal_sizes[line] < line_size]
+                     and 0 < state.ideal_sizes[line] < LINE_BYTES]
             if lines:
                 candidates.append((page, state, lines))
         if not candidates:
@@ -241,7 +241,6 @@ class FaultInjector:
     def _inject_meta(self):
         """Corrupt one metadata entry with an invariant-visible variant."""
         controller = self.controller
-        config = controller.config
         pages = self._compressed_pages()
         if not pages:
             return None
@@ -254,16 +253,16 @@ class FaultInjector:
             variants.append("mpfn")
         variant = self.rng.choice(variants)
         if variant == "size":
-            meta.size_chunks = (config.max_chunks_per_page + 1
+            meta.size_chunks = (CHUNKS_PER_PAGE + 1
                                 + self.rng.randrange(4))
             return page, f"size_chunks scrambled to {meta.size_chunks}"
         if variant == "inflate":
-            bogus = config.lines_per_page + self.rng.randrange(4)
+            bogus = LINES_PER_PAGE + self.rng.randrange(4)
             meta.inflated_lines.append(bogus)
             return page, f"inflation pointer to bogus line {bogus}"
         if variant == "bin":
-            line = self.rng.randrange(config.lines_per_page)
-            n_bins = len(config.line_bins)
+            line = self.rng.randrange(LINES_PER_PAGE)
+            n_bins = len(controller.config.line_bins)
             shift = 1 + self.rng.randrange(n_bins - 1)
             meta.line_bins[line] = (meta.line_bins[line] + shift) % n_bins
             return page, f"line {line} bin scrambled"

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from ..machine import CHUNK_BYTES, CHUNKS_PER_PAGE, PAGE_BYTES
+
 #: Pressure-relief callback: asked to free this many chunks.
 Relieve = Callable[[int], None]
 
@@ -47,11 +49,10 @@ class ChunkAllocator:
 
     contiguous = False
 
-    def __init__(self, memory_bytes: int, chunk_size: int = 512) -> None:
-        if memory_bytes % chunk_size:
+    def __init__(self, memory_bytes: int) -> None:
+        if memory_bytes % CHUNK_BYTES:
             raise ValueError("memory size must be a multiple of the chunk size")
-        self.chunk_size = chunk_size
-        self.total_chunks = memory_bytes // chunk_size
+        self.total_chunks = memory_bytes // CHUNK_BYTES
         # LIFO free list: reuse recently freed chunks for locality.
         self._free: List[int] = list(range(self.total_chunks - 1, -1, -1))
         self._allocated: set = set()
@@ -88,7 +89,7 @@ class ChunkAllocator:
 
     @property
     def used_bytes(self) -> int:
-        return self.used_chunks * self.chunk_size
+        return self.used_chunks * CHUNK_BYTES
 
     def resize(self, mpfns: List[int], current: int, chunks: int,
                relieve: Relieve) -> List[int]:
@@ -113,11 +114,11 @@ class ChunkAllocator:
         return chunks
 
     def address(self, mpfns: List[int], offset: int) -> int:
-        index = offset // self.chunk_size
+        index = offset // CHUNK_BYTES
         if index >= len(mpfns):
             raise ValueError(
                 f"offset {offset} beyond allocation ({len(mpfns)} chunks)")
-        return mpfns[index] * self.chunk_size + offset % self.chunk_size
+        return mpfns[index] * CHUNK_BYTES + offset % CHUNK_BYTES
 
     def owned(self) -> Dict[int, int]:
         # Iterates in frozenset order: the leak-reclaim sweep frees in
@@ -214,28 +215,25 @@ class VariableAllocator:
 
     contiguous = True
 
-    def __init__(self, memory_bytes: int, chunk_size: int = 512,
-                 max_block: int = 4096) -> None:
-        if memory_bytes % max_block:
-            raise ValueError("memory size must be a multiple of the max block")
-        self.chunk_size = chunk_size
-        self.max_block = max_block
-        self.total_chunks = memory_bytes // chunk_size
-        self._orders = (max_block // chunk_size).bit_length() - 1  # e.g. 3
-        # free lists per order: order o holds blocks of chunk_size << o.
+    def __init__(self, memory_bytes: int) -> None:
+        if memory_bytes % PAGE_BYTES:
+            raise ValueError("memory size must be a multiple of the page size")
+        self.total_chunks = memory_bytes // CHUNK_BYTES
+        self._orders = CHUNKS_PER_PAGE.bit_length() - 1  # 3: 512 B..4 KB
+        # free lists per order: order o holds blocks of CHUNK_BYTES << o.
         self._free_lists: List[List[int]] = [[] for _ in range(self._orders + 1)]
         self._free_lists[self._orders] = list(
-            range(0, self.total_chunks, max_block // chunk_size)
+            range(0, self.total_chunks, CHUNKS_PER_PAGE)
         )
         self._allocated: Dict[int, int] = {}  # base chunk -> order
         # Blocks removed from circulation by seize() (fault injection).
         self._seized: Dict[int, int] = {}     # base chunk -> order
 
     def _order_for(self, size_bytes: int) -> int:
-        if size_bytes <= 0 or size_bytes > self.max_block:
+        if size_bytes <= 0 or size_bytes > PAGE_BYTES:
             raise ValueError(f"unsupported region size {size_bytes}")
         order = 0
-        while (self.chunk_size << order) < size_bytes:
+        while (CHUNK_BYTES << order) < size_bytes:
             order += 1
         return order
 
@@ -250,7 +248,7 @@ class VariableAllocator:
         if chosen is None:
             raise OutOfMemoryError(
                 f"no contiguous region of {size_bytes} B available "
-                f"({self.free_chunks * self.chunk_size} B free but fragmented)"
+                f"({self.free_chunks * CHUNK_BYTES} B free but fragmented)"
             )
         base = self._free_lists[chosen].pop()
         # Split down to the requested order, buddy-style.
@@ -286,7 +284,7 @@ class VariableAllocator:
             return mpfns
         granted: List[int] = []
         if chunks:
-            size = chunks * self.chunk_size
+            size = chunks * CHUNK_BYTES
             try:
                 granted.append(self.allocate_region(size))
             except OutOfMemoryError:
@@ -300,7 +298,7 @@ class VariableAllocator:
             self.free_region(base)
 
     def can_allocate(self, chunks: int) -> bool:
-        return self.largest_free_region() >= chunks * self.chunk_size
+        return self.largest_free_region() >= chunks * CHUNK_BYTES
 
     def round_up(self, chunks: int) -> int:
         """Regions come in power-of-two sizes (§II-D)."""
@@ -312,7 +310,7 @@ class VariableAllocator:
     def address(self, mpfns: List[int], offset: int) -> int:
         if not mpfns:
             raise ValueError("page has no region allocated")
-        return mpfns[0] * self.chunk_size + offset
+        return mpfns[0] * CHUNK_BYTES + offset
 
     def owned(self) -> Dict[int, int]:
         return {base: 1 << order for base, order in self._allocated.items()}
@@ -330,12 +328,12 @@ class VariableAllocator:
 
     @property
     def used_bytes(self) -> int:
-        return self.used_chunks * self.chunk_size
+        return self.used_chunks * CHUNK_BYTES
 
     def largest_free_region(self) -> int:
         for order in range(self._orders, -1, -1):
             if self._free_lists[order]:
-                return self.chunk_size << order
+                return CHUNK_BYTES << order
         return 0
 
     # -- fault injection and self-check (docs/ROBUSTNESS.md) --------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from ..machine import CPU_FREQ_GHZ, LINE_BYTES
 from .request import AccessCategory, AccessKind, MemAccess
 
 
@@ -26,7 +27,6 @@ from .request import AccessCategory, AccessKind, MemAccess
 class DRAMTimings:
     """DDR4-2666 timings from Tab. III, converted to CPU cycles."""
 
-    cpu_freq_ghz: float = 3.0
     dram_freq_mhz: float = 1333.0        # command clock of DDR4-2666
     tCL: int = 18                        # DRAM cycles
     tRCD: int = 18
@@ -35,7 +35,7 @@ class DRAMTimings:
 
     @property
     def cycles_per_dram_clock(self) -> float:
-        return self.cpu_freq_ghz * 1000.0 / self.dram_freq_mhz
+        return CPU_FREQ_GHZ * 1000.0 / self.dram_freq_mhz
 
     def _cpu(self, dram_cycles: float) -> int:
         return max(1, round(dram_cycles * self.cycles_per_dram_clock))
@@ -176,7 +176,7 @@ class DRAMSystem:
         self.channels = [DDR4Channel(timings, n_banks) for _ in range(n_channels)]
 
     def access(self, now: int, access: MemAccess) -> int:
-        channel = (access.address // 64) % len(self.channels)
+        channel = (access.address // LINE_BYTES) % len(self.channels)
         return self.channels[channel].access(now, access)
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..machine import CHUNK_BYTES, METADATA_ENTRY_BYTES, PAGE_BYTES
 from .allocator import ChunkAllocator, OutOfMemoryError, VariableAllocator
 
 
@@ -21,8 +22,6 @@ class MemoryGeometry:
 
     installed_bytes: int
     advertised_ratio: float = 2.0     # OS is promised ratio x installed
-    page_size: int = 4096
-    metadata_entry_bytes: int = 64
 
     @property
     def advertised_bytes(self) -> int:
@@ -30,12 +29,12 @@ class MemoryGeometry:
 
     @property
     def ospa_pages(self) -> int:
-        return self.advertised_bytes // self.page_size
+        return self.advertised_bytes // PAGE_BYTES
 
     @property
     def metadata_region_bytes(self) -> int:
         """Dedicated MPA space for one 64 B entry per OSPA page (§III)."""
-        return self.ospa_pages * self.metadata_entry_bytes
+        return self.ospa_pages * METADATA_ENTRY_BYTES
 
     @property
     def data_region_bytes(self) -> int:
@@ -50,30 +49,27 @@ class MemoryGeometry:
 class PhysicalMemory:
     """Chunked machine memory backing a compressed-memory controller."""
 
-    def __init__(self, geometry: MemoryGeometry, allocation: str = "chunks",
-                 chunk_size: int = 512) -> None:
+    def __init__(self, geometry: MemoryGeometry,
+                 allocation: str = "chunks") -> None:
         self.geometry = geometry
         data_bytes = geometry.data_region_bytes
         if data_bytes <= 0:
             raise ValueError("metadata region exceeds installed memory")
         # Round down to a whole number of max-size pages for the buddy
         # allocator's sake.
-        data_bytes -= data_bytes % geometry.page_size
+        data_bytes -= data_bytes % PAGE_BYTES
         if allocation == "chunks":
-            self.allocator = ChunkAllocator(data_bytes, chunk_size)
+            self.allocator = ChunkAllocator(data_bytes)
         elif allocation == "variable":
-            self.allocator = VariableAllocator(
-                data_bytes, chunk_size, geometry.page_size
-            )
+            self.allocator = VariableAllocator(data_bytes)
         else:
             raise ValueError(f"unknown allocation scheme {allocation!r}")
-        self.chunk_size = chunk_size
 
     @classmethod
     def for_config(cls, geometry: MemoryGeometry, config) -> "PhysicalMemory":
         """Memory laid out by a :class:`~repro.core.config.CompressoConfig`:
         the one place its allocation scheme is read."""
-        return cls(geometry, config.allocation, config.chunk_size)
+        return cls(geometry, config.allocation)
 
     @property
     def used_bytes(self) -> int:
@@ -81,7 +77,7 @@ class PhysicalMemory:
 
     @property
     def free_bytes(self) -> int:
-        return self.allocator.free_chunks * self.chunk_size
+        return self.allocator.free_chunks * CHUNK_BYTES
 
     def metadata_address(self, ospa_page: int) -> int:
         """MPA address of a page's metadata entry — a shift and add (§III).
@@ -90,8 +86,8 @@ class PhysicalMemory:
         """
         if ospa_page < 0 or ospa_page >= self.geometry.ospa_pages:
             raise ValueError(f"OSPA page {ospa_page} out of range")
-        base = self.allocator.total_chunks * self.chunk_size
-        return base + ospa_page * self.geometry.metadata_entry_bytes
+        base = self.allocator.total_chunks * CHUNK_BYTES
+        return base + ospa_page * METADATA_ENTRY_BYTES
 
 
 __all__ = [

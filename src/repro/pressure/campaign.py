@@ -35,6 +35,7 @@ from ..core.ballooning import BalloonDriver
 from ..core.config import compresso_config
 from ..core.controller import CompressedMemoryController
 from ..inject.campaign import matches
+from ..machine import LINES_PER_PAGE, PAGE_BYTES
 from ..memory.allocator import OutOfMemoryError
 from ..memory.physical import MemoryGeometry
 from ..obs import Tracer
@@ -193,7 +194,7 @@ def pressure_cell(scenario: str, intensity: float,
     outcome = PressureCellOutcome(scenario=scenario, intensity=intensity,
                                   allocation=allocation, seed=seed)
     tracer = Tracer()
-    geometry = MemoryGeometry(installed_bytes=_CELL_INSTALLED_PAGES * 4096,
+    geometry = MemoryGeometry(installed_bytes=_CELL_INSTALLED_PAGES * PAGE_BYTES,
                               advertised_ratio=2.0)
     controller = CompressedMemoryController(
         compresso_config(allocation=allocation), geometry, tracer=tracer)
@@ -206,7 +207,6 @@ def pressure_cell(scenario: str, intensity: float,
                                   config=_CELL_PRESSURE)
     rng = np.random.RandomState(
         stable_seed("pressure", scenario, allocation, seed))
-    lines_per_page = controller.config.lines_per_page
 
     tenant_pages: Dict[str, List[int]] = {spec.name: [] for spec in specs}
     carry = {spec.name: 0.0 for spec in specs}
@@ -220,14 +220,14 @@ def pressure_cell(scenario: str, intensity: float,
             page = vm.allocate_page()
             vm.touch(page, dirty=True)
             image = [make_line(line_class, rng)
-                     for _ in range(lines_per_page)]
+                     for _ in range(LINES_PER_PAGE)]
             if pressure.install(name, page, image, progress) == "shed":
                 vm.free_page(page)
             else:
                 pages.append(page)
         elif pages:
             page = pages[int(rng.randint(len(pages)))]
-            line = int(rng.randint(lines_per_page))
+            line = int(rng.randint(LINES_PER_PAGE))
             pressure.write(name, page, line,
                            make_line(line_class, rng), progress)
             if vm.is_allocated(page):

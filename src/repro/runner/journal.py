@@ -41,8 +41,9 @@ dict) when the unit reports one, and ``timeline`` (a
 (``--trace-window`` / ``ExperimentScale.trace_window``).  When the
 unit ran with the memory-model sanitizer attached (``--sanitize`` /
 ``ExperimentScale.sanitize``) it also carries ``sanitizer`` (a dict
-with the invariant ``violations`` count — see docs/LINTING.md), and
-``run_start`` records ``sanitize: true`` for the whole run.
+with the invariant ``violations`` count summed over the unit's runs,
+plus ``faults_injected`` under fault injection — see docs/LINTING.md),
+and ``run_start`` records ``sanitize: true`` for the whole run.
 
 Multi-seed runs (``--seeds N``, docs/RESULTS.md) add ``seeds`` and
 ``base_seed`` (ints) to ``run_start`` and a ``seed`` (int) to every

@@ -15,7 +15,6 @@ from .compresspoints import (
     select_points,
 )
 from .configs import (
-    OS_PAGE_FAULT_PENALTY_CYCLES,
     SYSTEM_ORDER,
     chunk_vs_variable_configs,
     optimization_ladder,
@@ -34,7 +33,6 @@ __all__ = [
     "CapacityResult",
     "IntervalProfile",
     "MulticoreResult",
-    "OS_PAGE_FAULT_PENALTY_CYCLES",
     "PointSelection",
     "SYSTEM_ORDER",
     "SimulationConfig",

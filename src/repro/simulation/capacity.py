@@ -138,7 +138,6 @@ def multicore_capacity_impact(profiles: List[BenchmarkProfile],
     fault_rates: Dict[str, float] = {}
     for system, budget in budgets.items():
         sim = LRUPagingSimulator(budget)
-        index = 0
         for step in range(touches_per_core):
             progress = step / touches_per_core
             for stream in streams:

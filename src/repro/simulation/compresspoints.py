@@ -25,12 +25,19 @@ from typing import List, Tuple
 import numpy as np
 
 from ..compression import BPCCompressor, SizeCache, is_zero_line
+from ..core.config import ALIGNMENT_FRIENDLY_LINE_BINS
 from ..core.packing import choose_bin
+from ..machine import (
+    CHUNK_BYTES,
+    LINES_PER_PAGE,
+    METADATA_ENTRY_BYTES,
+    PAGE_BYTES,
+    chunks_for,
+)
 from ..workloads.profiles import BenchmarkProfile
 from ..workloads.tracegen import TraceGenerator, Workload
 
 _BBV_BINS = 16
-_LINE_BINS = (0, 8, 32, 64)
 
 
 @dataclass
@@ -60,7 +67,8 @@ def _line_bin_bytes(sizes: SizeCache, data: bytes) -> int:
     """Packed (binned) size of one line, without a full controller."""
     if is_zero_line(data):
         return 0
-    return _LINE_BINS[choose_bin(sizes.size_bytes(data), _LINE_BINS)]
+    bins = ALIGNMENT_FRIENDLY_LINE_BINS
+    return bins[choose_bin(sizes.size_bytes(data), bins)]
 
 
 def profile_intervals(profile: BenchmarkProfile, n_intervals: int = 20,
@@ -74,7 +82,7 @@ def profile_intervals(profile: BenchmarkProfile, n_intervals: int = 20,
     total_events = n_intervals * events_per_interval
     events = trace.events(total_events)
 
-    page_sizes = {}          # page -> list of 64 packed bin bytes
+    page_sizes = {}          # page -> per-line packed bin bytes
     touched = set()
     intervals: List[IntervalProfile] = []
 
@@ -83,7 +91,7 @@ def profile_intervals(profile: BenchmarkProfile, n_intervals: int = 20,
         if entry is None:
             entry = [
                 _line_bin_bytes(sizes, workload.line_data(page, line))
-                for line in range(64)
+                for line in range(LINES_PER_PAGE)
             ]
             page_sizes[page] = entry
         return entry
@@ -114,16 +122,14 @@ def profile_intervals(profile: BenchmarkProfile, n_intervals: int = 20,
         # untouched pages are still zeroed-out allocations, costing only
         # their metadata entry, so early intervals show very high ratios
         # that decline as the footprint fills with real data.
-        raw = workload.pages * 4096
+        raw = workload.pages * PAGE_BYTES
         compressed = 0
         for page in range(workload.pages):
             entry = page_sizes.get(page)
-            if entry is None:
-                compressed += 64  # metadata entry only
-                continue
-            packed = sum(entry)
-            compressed += max(512, (packed + 511) // 512 * 512) \
-                if packed else 64
+            packed = sum(entry) if entry is not None else 0
+            # An untouched or all-zero page costs its metadata entry only.
+            compressed += (chunks_for(packed) * CHUNK_BYTES if packed
+                           else METADATA_ENTRY_BYTES)
         ratio = raw / max(1, compressed)
         intervals.append(IntervalProfile(
             index=interval_index,

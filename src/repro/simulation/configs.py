@@ -27,13 +27,6 @@ from ..core.config import (
     lcp_config,
 )
 
-#: Paper Tab. III simulation parameters not covered by CompressoConfig.
-CPU_FREQ_GHZ = 3.0
-ISSUE_WIDTH = 4
-ROB_ENTRIES = 192
-DRAM_SIZE_GB = 8
-OS_PAGE_FAULT_PENALTY_CYCLES = 3000  # OS-aware page-overflow fault (§VII-A)
-
 SYSTEM_ORDER = ("uncompressed", "lcp", "lcp+align", "compresso")
 
 

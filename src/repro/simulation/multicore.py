@@ -20,16 +20,19 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..cpu.core import AnalyticCore, CoreConfig
+from ..cpu.core import AnalyticCore
 from ..memory.dram import DRAMStats, DRAMSystem, DRAMTimings
-from ..obs import NULL_TRACER, timeline_digest
+from ..obs import NULL_TRACER
 from ..workloads.profiles import BenchmarkProfile
 from ..workloads.tracegen import TraceGenerator, Workload
 from .simulator import (
+    DRAM_CHANNELS,
+    RATIO_SAMPLES,
     EventEngine,
     SimulationConfig,
     _attach_injector,
     _build_controller,
+    _result_tail,
 )
 
 
@@ -47,8 +50,15 @@ class MulticoreResult:
     #: ``None`` when the run produced no metadata traffic (e.g. the
     #: uncompressed baseline never probes the metadata cache).
     metadata_hit_rate: Optional[float] = None
+    #: Compression ratio after the final metadata flush.
+    final_ratio: float = 1.0
     #: Windowed trace digest; only present when the run was traced.
     timeline: Optional[dict] = None
+    #: Invariant violations the memory-model sanitizer detected;
+    #: ``None`` when the run was not sanitized.
+    sanitizer_violations: Optional[int] = None
+    #: Faults the injector committed; ``None`` without an injector.
+    faults_injected: Optional[int] = None
 
     def speedup_over(self, baseline: "MulticoreResult") -> float:
         """Geometric mean of per-core speedups (same per-core traces).
@@ -94,11 +104,9 @@ def simulate_multicore(profiles: List[BenchmarkProfile], system: str,
                     controller.install_page(offset + page,
                                             workload.page_lines(page))
 
-    dram = DRAMSystem(n_channels=sim.dram_channels, timings=DRAMTimings())
-    cores = [
-        AnalyticCore(CoreConfig(), mlp=profile.mlp, cpi=profile.base_cpi)
-        for profile in profiles
-    ]
+    dram = DRAMSystem(n_channels=DRAM_CHANNELS, timings=DRAMTimings())
+    cores = [AnalyticCore(mlp=profile.mlp, cpi=profile.base_cpi)
+             for profile in profiles]
     engines = []
     iterators = []
     for workload, offset, core in zip(workloads, offsets, cores):
@@ -111,7 +119,7 @@ def simulate_multicore(profiles: List[BenchmarkProfile], system: str,
     remaining = [sim.n_events] * len(profiles)
     ratio_timeline: List[float] = []
     total_steps = sim.n_events * len(profiles)
-    sample_every = max(1, total_steps // max(1, sim.ratio_samples))
+    sample_every = max(1, total_steps // RATIO_SAMPLES)
     # Always-under-contention interleave: the core furthest behind in
     # simulated time executes its next event.
     with tracer.phase("simulate"):
@@ -137,10 +145,5 @@ def simulate_multicore(profiles: List[BenchmarkProfile], system: str,
         controller_stats=controller.stats,
         dram_stats=dram.stats,
         ratio_timeline=ratio_timeline or [controller.compression_ratio()],
-        metadata_hit_rate=controller.stats.metadata_hit_rate(),
-        timeline=(
-            timeline_digest(tracer.events, tracer.digest_window,
-                            end_clock=tracer.clock)
-            if tracer.enabled else None
-        ),
+        **_result_tail(controller, tracer, injector),
     )

@@ -18,14 +18,36 @@ import numpy as np
 from ..core.config import CompressoConfig
 from ..core.controller import CompressedMemoryController
 from ..core.stats import ControllerStats
-from ..cpu.core import AnalyticCore, CoreConfig
+from ..cpu.core import AnalyticCore
+from ..machine import (
+    LINE_BYTES,
+    METADATA_CACHE_ASSOC,
+    METADATA_ENTRY_BYTES,
+    OS_PAGE_FAULT_CYCLES,
+    PAGE_BYTES,
+)
 from ..memory.dram import DRAMStats, DRAMSystem, DRAMTimings
 from ..memory.physical import MemoryGeometry
 from ..memory.request import AccessCategory, AccessKind, AccessResult, MemAccess
 from ..obs import NULL_TRACER, timeline_digest
 from ..workloads.profiles import BenchmarkProfile
 from ..workloads.tracegen import TraceGenerator, Workload
-from .configs import OS_PAGE_FAULT_PENALTY_CYCLES, system_config
+from .configs import system_config
+
+#: Samples in the compression-ratio timeline.
+RATIO_SAMPLES = 20
+#: DRAM channels in the timing model.
+DRAM_CHANNELS = 1
+#: Fraction of a *sequential* demand read's latency hidden by the
+#: core's stream prefetcher (all systems benefit equally); without
+#: it, an analytic core overstates how memory-latency-bound
+#: streaming workloads are, and with them every bandwidth benefit.
+PREFETCH_HIDE = 0.6
+#: Visible-latency weight of the second and later accesses in a
+#: serial critical chain (metadata miss -> data); 1.0 models full
+#: serialization.  Metadata fetches are already prioritized in the
+#: DRAM model, so full serialization is the honest default.
+SERIAL_OVERLAP = 1.0
 
 
 @dataclass
@@ -36,23 +58,6 @@ class SimulationConfig:
     scale: float = 0.25              # footprint scale factor
     seed: int = 0
     warm_install: bool = True        # pre-populate memory (CompressPoint)
-    ratio_samples: int = 20          # compression-ratio timeline length
-    os_fault_penalty: int = OS_PAGE_FAULT_PENALTY_CYCLES
-    dram_channels: int = 1
-    #: Fraction of a *sequential* demand read's latency hidden by the
-    #: core's stream prefetcher (all systems benefit equally); without
-    #: it, an analytic core overstates how memory-latency-bound
-    #: streaming workloads are, and with them every bandwidth benefit.
-    prefetch_hide: float = 0.6
-    #: Scale the metadata cache with the footprint so the working-set /
-    #: cache-reach ratio matches the full-size system (96 KB vs. real
-    #: footprints); disable for absolute-capacity studies.
-    scale_metadata_cache: bool = True
-    #: Visible-latency weight of the second and later accesses in a
-    #: serial critical chain (metadata miss -> data); 1.0 models full
-    #: serialization.  Metadata fetches are already prioritized in the
-    #: DRAM model, so full serialization is the honest default.
-    serial_overlap: float = 1.0
     #: Attach the memory-model sanitizer (repro.check.sanitizer): the
     #: controller re-verifies its layout and allocator invariants after
     #: every operation, and the result reports the violation count.
@@ -109,21 +114,19 @@ class SimulationResult:
 class UncompressedController:
     """Baseline memory controller: one access per fill/writeback."""
 
-    def __init__(self, page_size: int = 4096, line_size: int = 64) -> None:
-        self.page_size = page_size
-        self.line_size = line_size
+    def __init__(self) -> None:
         self.stats = ControllerStats()
 
     def read_line(self, page: int, line: int) -> AccessResult:
         self.stats.demand_reads += 1
-        address = page * self.page_size + line * self.line_size
+        address = page * PAGE_BYTES + line * LINE_BYTES
         return AccessResult(accesses=[
             MemAccess(AccessKind.READ, AccessCategory.DEMAND, address)
         ])
 
     def write_line(self, page: int, line: int, data: bytes) -> AccessResult:
         self.stats.demand_writes += 1
-        address = page * self.page_size + line * self.line_size
+        address = page * PAGE_BYTES + line * LINE_BYTES
         return AccessResult(accesses=[
             MemAccess(AccessKind.WRITE, AccessCategory.DEMAND, address,
                       critical=False)
@@ -147,19 +150,23 @@ def _build_controller(system: str, workload_pages: int,
         config = system_config(system)
     if config is None:
         return UncompressedController()
-    if sim.scale_metadata_cache and sim.scale < 1.0:
-        entry_set = config.metadata_cache_assoc * 64
+    if sim.scale < 1.0:
+        # Scale the metadata cache with the footprint so the working-set
+        # / cache-reach ratio matches the full-size system (96 KB vs.
+        # real footprints).
+        entry_set = METADATA_CACHE_ASSOC * METADATA_ENTRY_BYTES
         scaled = max(entry_set, int(config.metadata_cache_bytes * sim.scale))
         scaled -= scaled % entry_set
         config = config.replace(metadata_cache_bytes=scaled)
-    footprint = workload_pages * 4096
+    footprint = workload_pages * PAGE_BYTES
     # Cycle-based runs are not capacity constrained (8 GB in Tab. III):
     # install enough machine memory for the worst (incompressible) case
     # plus metadata, and advertise at least the workload's OSPA range.
     installed = footprint * 2 + (32 << 20)
     geometry = MemoryGeometry(
         installed_bytes=installed,
-        advertised_ratio=max(2.0, (workload_pages + 64) * 4096 * 1.1 / installed),
+        advertised_ratio=max(
+            2.0, (workload_pages + 64) * PAGE_BYTES * 1.1 / installed),
     )
     return CompressedMemoryController(config, geometry, tracer=tracer,
                                       sanitize=sim.sanitize)
@@ -195,14 +202,12 @@ class EventEngine:
         self.core = core
         self.workload = workload
         self.trace = trace
-        self.sim = sim
         self.page_offset = page_offset
         self._phase_rng = np.random.RandomState(sim.seed + 1 + page_offset)
         self._last_read = (-1, -1)
 
     def step(self, event, progress: float) -> None:
         """Advance the core through one trace event."""
-        sim = self.sim
         core = self.core
         controller = self.controller
         page = self.page_offset + event.page
@@ -216,18 +221,17 @@ class EventEngine:
             _issue(self.dram, core.now, result, stall_core=None)
             faults = controller.stats.os_page_faults - faults_before
             if faults:
-                core.stall(faults * sim.os_fault_penalty)
+                core.stall(faults * OS_PAGE_FAULT_CYCLES)
         else:
             result = controller.read_line(page, event.line)
-            latency = _issue(self.dram, core.now, result, stall_core=core,
-                             serial_overlap=sim.serial_overlap)
+            latency = _issue(self.dram, core.now, result, stall_core=core)
             latency += result.controller_cycles
             sequential = (
                 event.page == self._last_read[0]
                 and event.line == self._last_read[1] + 1
             )
             if sequential:
-                latency = int(latency * (1.0 - sim.prefetch_hide))
+                latency = int(latency * (1.0 - PREFETCH_HIDE))
             core.stall(latency)
             self._last_read = (event.page, event.line)
         if self.injector is not None:
@@ -260,14 +264,14 @@ def simulate(profile: BenchmarkProfile, system: str,
             for page in range(workload.pages):
                 controller.install_page(page, workload.page_lines(page))
 
-    core = AnalyticCore(CoreConfig(), mlp=profile.mlp, cpi=profile.base_cpi)
-    dram = DRAMSystem(n_channels=sim.dram_channels, timings=DRAMTimings())
+    core = AnalyticCore(mlp=profile.mlp, cpi=profile.base_cpi)
+    dram = DRAMSystem(n_channels=DRAM_CHANNELS, timings=DRAMTimings())
     trace = TraceGenerator(workload, seed=sim.seed)
     engine = EventEngine(controller, dram, core, workload, trace, sim,
                          injector=injector)
 
     ratio_timeline: List[float] = []
-    sample_every = max(1, sim.n_events // max(1, sim.ratio_samples))
+    sample_every = max(1, sim.n_events // RATIO_SAMPLES)
 
     with tracer.phase("simulate"):
         for index, event in enumerate(trace.events(sim.n_events)):
@@ -277,7 +281,6 @@ def simulate(profile: BenchmarkProfile, system: str,
 
     with tracer.phase("flush"):
         controller.flush_metadata()
-    sanitizer = getattr(controller, "sanitizer", None)
     return SimulationResult(
         benchmark=profile.name,
         system=system,
@@ -286,6 +289,15 @@ def simulate(profile: BenchmarkProfile, system: str,
         controller_stats=controller.stats,
         dram_stats=dram.stats,
         ratio_timeline=ratio_timeline,
+        **_result_tail(controller, tracer, injector),
+    )
+
+
+def _result_tail(controller, tracer, injector) -> dict:
+    """The result fields every cycle-based driver reports the same way,
+    read after the final metadata flush."""
+    sanitizer = getattr(controller, "sanitizer", None)
+    return dict(
         final_ratio=max(1.0, controller.compression_ratio()),
         metadata_hit_rate=controller.stats.metadata_hit_rate(),
         timeline=(
@@ -303,13 +315,12 @@ def simulate(profile: BenchmarkProfile, system: str,
 
 
 def _issue(dram: DRAMSystem, now: int, result: AccessResult,
-           stall_core, serial_overlap: float = 0.45) -> int:
+           stall_core) -> int:
     """Issue a result's DRAM accesses; returns critical-path latency.
 
     Critical accesses serialize in DRAM-time (metadata before data),
-    but the *visible* latency of later chain links is discounted by
-    ``serial_overlap`` — the OOO window overlaps dependent-miss chains
-    across independent misses.  Non-critical accesses (writebacks,
+    and the *visible* latency of later chain links is weighted by
+    :data:`SERIAL_OVERLAP`.  Non-critical accesses (writebacks,
     movement traffic, speculation) are posted at ``now`` and only cost
     bandwidth.
     """
@@ -320,7 +331,7 @@ def _issue(dram: DRAMSystem, now: int, result: AccessResult,
         if access.critical and stall_core is not None:
             done = dram.access(t, access)
             service = done - t
-            visible += service if first else service * serial_overlap
+            visible += service if first else service * SERIAL_OVERLAP
             first = False
             t = done
         else:

@@ -2,8 +2,6 @@
 
 from .bursts import BURST_SHAPES, BurstSchedule
 from .datagen import (
-    LINE_SIZE,
-    LINES_PER_PAGE,
     LineClass,
     LinePool,
     PageImageGenerator,
@@ -26,8 +24,6 @@ __all__ = [
     "BenchmarkProfile",
     "BurstSchedule",
     "CAPACITY_STALLERS",
-    "LINES_PER_PAGE",
-    "LINE_SIZE",
     "LineClass",
     "LinePool",
     "MIXES",

@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from .._util import stable_seed
-
-LINE_SIZE = 64
-LINES_PER_PAGE = 64
+from ..machine import LINE_BYTES
 
 
 class LineClass(enum.Enum):
@@ -60,7 +58,7 @@ def _rng(*key) -> np.random.RandomState:
 def make_line(line_class: LineClass, rng: np.random.RandomState) -> bytes:
     """Generate one 64-byte line of the given class."""
     if line_class is LineClass.ZERO:
-        return bytes(LINE_SIZE)
+        return bytes(LINE_BYTES)
     if line_class is LineClass.INT_SMALL:
         base = int(rng.randint(0, 4096))
         values = [(base + int(rng.randint(0, 64))) & 0xFFFFFFFF for _ in range(16)]
@@ -86,10 +84,10 @@ def make_line(line_class: LineClass, rng: np.random.RandomState) -> bytes:
         return struct.pack("<16f", *values.astype(np.float32))
     if line_class is LineClass.TEXT:
         alphabet = b"etaoin shrdlucmfwypvbgkjqxz,.ETAOIN"
-        indices = rng.randint(0, len(alphabet), LINE_SIZE)
+        indices = rng.randint(0, len(alphabet), LINE_BYTES)
         return bytes(alphabet[i] for i in indices)
     if line_class is LineClass.SPARSE:
-        line = bytearray(LINE_SIZE)
+        line = bytearray(LINE_BYTES)
         for _ in range(int(rng.randint(1, 4))):
             offset = int(rng.randint(0, 14)) * 4
             line[offset : offset + 4] = struct.pack(
@@ -97,7 +95,7 @@ def make_line(line_class: LineClass, rng: np.random.RandomState) -> bytes:
             )
         return bytes(line)
     if line_class is LineClass.RANDOM:
-        return rng.bytes(LINE_SIZE)
+        return rng.bytes(LINE_BYTES)
     raise ValueError(f"unknown line class {line_class}")
 
 
@@ -176,15 +174,10 @@ class PageImageGenerator:
             if rng.rand() < self.mixed_fraction:
                 cls = self.secondary_class(page)
         if cls is LineClass.ZERO:
-            return bytes(LINE_SIZE)
+            return bytes(LINE_BYTES)
         if self.zero_line_fraction:
             rng = _rng(self.name, "zline", page, line)
             if rng.rand() < self.zero_line_fraction:
-                return bytes(LINE_SIZE)
+                return bytes(LINE_BYTES)
         index = hash((page, line, version)) & 0x7FFFFFFF
         return self._pools[cls].line(index)
-
-    def page_lines(self, page: int, version: int = 0) -> List[bytes]:
-        return [
-            self.line(page, line, version) for line in range(LINES_PER_PAGE)
-        ]

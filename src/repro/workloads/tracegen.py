@@ -22,7 +22,8 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from .._util import stable_seed
-from .datagen import LINES_PER_PAGE, LineClass, PageImageGenerator
+from ..machine import LINES_PER_PAGE
+from .datagen import LineClass, PageImageGenerator
 from .profiles import BenchmarkProfile
 
 

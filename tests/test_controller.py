@@ -10,7 +10,9 @@ from repro.core import (
     lcp_align_config,
     lcp_config,
 )
+from repro.machine import PAGE_BYTES
 from repro.memory import AccessCategory, MemoryGeometry
+from repro.workloads import PROFILES, TraceGenerator, Workload
 
 
 def make_controller(config=None, installed_mb=32):
@@ -379,6 +381,44 @@ class TestConservation:
             if state.meta.valid and state.meta.compressed:
                 layout = ctrl._layout(state)
                 assert layout.total_bytes <= state.allocation_bytes
+
+    @pytest.mark.parametrize("config", [
+        compresso_config(),
+        compresso_config(allocation="variable"),
+        lcp_config(),
+    ], ids=["chunks", "variable", "lcp"])
+    @pytest.mark.parametrize("name", ["gcc", "mcf", "omnetpp"])
+    def test_ratio_matches_allocator_bytes(self, config, name):
+        """After install and a written trace, the pages' allocation
+        bytes and ``compression_ratio()`` agree with the bytes the
+        allocator granted: neither may assume a chunk size of its own."""
+        import numpy as np
+        workload = Workload(PROFILES[name], scale=0.01, seed=1)
+        ctrl = make_controller(config)
+        for page in range(workload.pages):
+            ctrl.install_page(page, workload.page_lines(page))
+        trace = TraceGenerator(workload, seed=1)
+        phase_rng = np.random.RandomState(2)
+        n_events = 1500
+        for index, event in enumerate(trace.events(n_events)):
+            if event.is_writeback:
+                override = trace.overwrite_class_at(index / n_events,
+                                                    phase_rng)
+                ctrl.write_line(event.page, event.line,
+                                workload.apply_writeback(
+                                    event.page, event.line, override))
+            else:
+                ctrl.read_line(event.page, event.line)
+        ctrl.flush_metadata()
+        valid = [state for state in ctrl.pages.values() if state.meta.valid]
+        used = ctrl.allocator.used_bytes
+        assert sum(state.allocation_bytes for state in valid) == used
+        assert ctrl.compression_ratio() == len(valid) * PAGE_BYTES / used
+
+    def test_machine_sizes_are_not_config_fields(self):
+        """The chunk size is a machine constant, not a design knob."""
+        with pytest.raises(TypeError):
+            compresso_config(chunk_size=1024)
 
 
 class TestFreePage:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu import AnalyticCore, CoreConfig
+from repro.cpu import AnalyticCore
 
 
 class TestAnalyticCore:
@@ -13,7 +13,7 @@ class TestAnalyticCore:
         assert core.stats.instructions == 1000
 
     def test_cpi_floor_is_issue_width(self):
-        core = AnalyticCore(CoreConfig(issue_width=4), cpi=0.01)
+        core = AnalyticCore(cpi=0.01)
         core.advance_instructions(400)
         assert core.now == 100  # capped at 4 IPC
 
@@ -30,7 +30,7 @@ class TestAnalyticCore:
         assert core.stats.ipc() == pytest.approx(0.5)
 
     def test_seconds(self):
-        core = AnalyticCore(CoreConfig(freq_ghz=3.0), cpi=1.0)
+        core = AnalyticCore(cpi=1.0)
         core.advance_instructions(3_000_000)
         assert core.seconds() == pytest.approx(1e-3)
 

@@ -308,6 +308,39 @@ def test_mutable_default_rule(tmp_path):
     assert kept == []
 
 
+def test_machine_constant_rule(tmp_path):
+    bad = (
+        '"""doc."""\n'
+        "import dataclasses\n"
+        "LINE_SIZE = 64\n"
+        "CHUNK_BYTES = 512\n"
+        "@dataclasses.dataclass\n"
+        "class Config:\n"
+        "    chunk_size: int = 512\n"
+        "def allocate(n, page_size=4096, *, cpu_freq_ghz=3.0):\n"
+        "    lines_per_page = 64\n"
+        "    return n * lines_per_page\n"
+    )
+    kept, _ = _lint_snippet(
+        tmp_path, "src/repro/core/mod.py", bad, ["machine-constant"])
+    assert sorted(f.line for f in kept) == [3, 4, 7, 8, 8, 9]
+
+    good = (
+        '"""doc."""\n'
+        "from repro.machine import CHUNK_BYTES\n"
+        "def allocate(n, chunks=1):\n"
+        "    return n * chunks * CHUNK_BYTES\n"
+    )
+    kept, _ = _lint_snippet(
+        tmp_path, "src/repro/core/mod.py", good, ["machine-constant"])
+    assert kept == []
+
+    # The one definition site and code outside the package are exempt.
+    for relpath in ("src/repro/machine.py", "scripts/tool.py"):
+        kept, _ = _lint_snippet(tmp_path, relpath, bad, ["machine-constant"])
+        assert kept == []
+
+
 def test_unused_import_rule(tmp_path):
     source = (
         '"""doc."""\n'

@@ -50,6 +50,20 @@ class TestMulticore:
         with pytest.raises(ValueError):
             simulate_multicore([], "compresso", SIM)
 
+    def test_reports_sanitizer_and_fault_counts(self):
+        """A sanitized, injected 4-core run reports its counts as a
+        single-core run does; a plain run reports neither."""
+        profiles = mix_profiles("mix6")
+        sim = SimulationConfig(n_events=200, scale=0.02, seed=4,
+                               sanitize="recover", faults="line:0.05")
+        result = simulate_multicore(profiles, "compresso", sim)
+        assert result.sanitizer_violations is not None
+        assert result.faults_injected > 0
+        assert result.final_ratio >= 1.0
+        plain = simulate_multicore(profiles, "compresso", SIM)
+        assert plain.sanitizer_violations is None
+        assert plain.faults_injected is None
+
 
 class TestSpeedupClamp:
     """Regression: a zero cycle count must not feed ``log(0)``."""

@@ -8,6 +8,7 @@ from repro.core.config import ALIGNMENT_FRIENDLY_LINE_BINS, PRIOR_WORK_LINE_BINS
 from repro.core.lcp import LCPPack
 from repro.core.linepack import LinePack, split_access_fraction
 from repro.core.packing import blocks_spanned, choose_bin
+from repro.machine import INFLATION_POINTERS
 
 
 class TestChooseBin:
@@ -126,7 +127,7 @@ class TestLCPPack:
             assert layout.locate(line).size == 64
 
     def test_too_many_exceptions_grows_target(self):
-        pack = LCPPack(PRIOR_WORK_LINE_BINS, max_exceptions=17)
+        pack = LCPPack(PRIOR_WORK_LINE_BINS)
         sizes = [20] * 40 + [64] * 24  # 24 > 17 exceptions at target 22
         layout = pack.pack(sizes)
         assert layout.slot_sizes[0] == 64  # must fall back to raw target
@@ -154,7 +155,7 @@ class TestLCPPack:
         pack = LCPPack(PRIOR_WORK_LINE_BINS)
         layout = pack.pack(sizes)
         target = layout.slot_sizes[0]
-        assert len(layout.inflated_lines) <= pack.max_exceptions
+        assert len(layout.inflated_lines) <= INFLATION_POINTERS
         for line, size in enumerate(sizes):
             if line not in layout.inflated_lines:
                 assert size <= target

@@ -15,6 +15,7 @@ from repro.core import (
     FreeListOSModel,
     compresso_config,
 )
+from repro.machine import LINE_BYTES, LINES_PER_PAGE
 from repro.memory import MemoryGeometry
 from repro.memory.allocator import OutOfMemoryError
 from repro.obs import Tracer
@@ -43,7 +44,7 @@ def incompressible(salt: int) -> bytes:
 
 
 def zero_page(controller):
-    return [bytes(64)] * controller.config.lines_per_page
+    return [bytes(LINE_BYTES)] * LINES_PER_PAGE
 
 
 def small_node(rate=100.0, burst=100, tenants=None, installed=8 << 20,

@@ -11,11 +11,23 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.experiments import (
+    ExperimentScale,
+    run_ablation_design_space,
+    run_fig4,
+    run_fig6,
+    run_fig7,
+    run_fig10,
+    run_fig11,
+    run_fig12,
+    run_tab2,
+)
 from repro.check import MemorySanitizer, SanitizerError
 from repro.core.config import compresso_config, lcp_config
 from repro.core.controller import CompressedMemoryController
 from repro.memory.physical import MemoryGeometry
 from repro.obs import Tracer
+from repro.runner import Runner, RunJournal, read_journal
 from repro.simulation.simulator import SimulationConfig, simulate
 from repro.workloads.profiles import PROFILES
 
@@ -173,3 +185,26 @@ def test_unsanitized_simulation_reports_none():
     sim = SimulationConfig(n_events=300, scale=0.01)
     result = simulate(PROFILES["gcc"], "compresso", sim)
     assert result.sanitizer_violations is None
+
+
+def test_every_cycle_based_unit_journals_sanitizer_counts(tmp_path):
+    """``run --sanitize`` puts a ``sanitizer`` block on the ``unit_end``
+    of every cycle-based unit (docs/LINTING.md), fig11's 4-core units
+    included."""
+    scale = ExperimentScale(n_events=200, scale=0.004, capacity_touches=600,
+                            capacity_footprint_cap=30, fig2_pages=4,
+                            benchmarks=("gcc",), mixes=("mix6",),
+                            sanitize=True)
+    path = tmp_path / "runs.jsonl"
+    runner = Runner(journal=RunJournal(path))
+    cycle_based = (run_fig4, run_fig6, run_fig7, run_fig10, run_fig11,
+                   run_fig12, run_tab2, run_ablation_design_space)
+    for run in cycle_based:
+        run(scale, runner=runner)
+    ends = [event for event in read_journal(path)
+            if event["event"] == "unit_end"]
+    assert {event["experiment"] for event in ends} == {
+        "fig4", "fig6", "fig7", "fig10", "fig11", "fig12", "tab2",
+        "ablation"}
+    assert [event["unit"] for event in ends if "sanitizer" not in event] == []
+    assert all(event["sanitizer"] == {"violations": 0} for event in ends)

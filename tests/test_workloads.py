@@ -3,9 +3,9 @@
 import pytest
 
 from repro.compression import BPCCompressor
+from repro.machine import LINES_PER_PAGE
 from repro.workloads import (
     CAPACITY_STALLERS,
-    LINES_PER_PAGE,
     MIXES,
     PROFILES,
     LineClass,
