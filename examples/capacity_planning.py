@@ -52,13 +52,13 @@ def constrained_performance(server_mix, ratios,
         budget = int(footprint * budget_fraction)
         ratio = ratios[name]  # measured on this workload's data above
         _, t_plain = run_capacity_simulation(
-            profile, StaticBudget(budget), n_touches=20000,
+            [profile], StaticBudget(budget), n_touches=20000,
             footprint_pages=footprint)
         _, t_comp = run_capacity_simulation(
-            profile, DynamicBudget(budget, [ratio]), n_touches=20000,
+            [profile], DynamicBudget(budget, [ratio]), n_touches=20000,
             footprint_pages=footprint)
         _, t_full = run_capacity_simulation(
-            profile, StaticBudget(footprint), n_touches=20000,
+            [profile], StaticBudget(footprint), n_touches=20000,
             footprint_pages=footprint)
         print(f"{name:12s} {'1.00x (base)':>15s} "
               f"{t_plain / t_comp:9.2f}x {t_plain / t_full:13.2f}x")

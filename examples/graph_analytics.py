@@ -39,7 +39,7 @@ def main() -> None:
             for system in ("uncompressed",) + SYSTEMS
         }
         capacity = capacity_impact(
-            profile,
+            [profile],
             {system: runs[system].ratio_timeline for system in SYSTEMS},
             CapacityConfig(memory_fraction=0.7, n_touches=15000,
                            footprint_pages=300),

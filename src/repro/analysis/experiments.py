@@ -37,17 +37,12 @@ from ..core.config import (
 )
 from ..core.lcp import LCPPack
 from ..core.linepack import LinePack, split_access_fraction
-from ..core.stats import ControllerStats
 from ..energy.area import AreaReport, offset_adder_for_bins
 from ..energy.model import EnergyConstants, EnergyModel
 from ..machine import CHUNK_BYTES, PAGE_BYTES, chunks_for
 from ..obs import Tracer
 from ..runner import Runner, WorkUnit
-from ..simulation.capacity import (
-    CapacityConfig,
-    capacity_impact,
-    multicore_capacity_impact,
-)
+from ..simulation.capacity import CapacityConfig, capacity_impact
 from ..simulation.compresspoints import (
     profile_intervals,
     representativeness_error,
@@ -132,51 +127,60 @@ def _run_units(runner: Optional[Runner], experiment: str,
     return active.map(units)
 
 
-def _stats_summary(stats: ControllerStats,
-                   ratio: Optional[float] = None) -> Dict[str, Any]:
-    """The ControllerStats digest journaled with each unit_end event.
+def _tracer(scale: ExperimentScale) -> Optional[Tracer]:
+    """A fresh tracer for one cycle-based run when ``scale.trace_window``
+    is set; ``None`` keeps the zero-overhead null tracer."""
+    return (Tracer(digest_window=scale.trace_window)
+            if scale.trace_window else None)
 
-    ``ratio`` attaches the unit's final compression ratio when the
-    caller has one — it is a headline metric of the paper, so the
-    results index (docs/RESULTS.md) wants it alongside the
-    access-overhead counters.
+
+def _output(run, runs, ratio: Optional[float] = None,
+            **fields) -> Dict[str, Any]:
+    """A cycle-based unit's output: its ``fields`` plus journal blocks.
+
+    ``stats`` digests ``run``'s ControllerStats, with its final
+    compression ratio unless ``ratio`` overrides it (a headline metric
+    of the paper, so the results index, docs/RESULTS.md, wants it
+    alongside the access-overhead counters).  ``timeline`` is ``run``'s
+    trace digest when it was traced, so the two always reconcile.
+    ``sanitizer`` sums the violation (and injected-fault) counts over
+    ``runs`` when they were sanitized; the uncompressed baseline has
+    neither and adds nothing.
     """
-    summary = {
+    stats = run.controller_stats
+    output = dict(fields)
+    output["stats"] = {
         "demand_accesses": stats.demand_accesses,
         "extra_accesses": stats.extra_accesses,
         "relative_extra_accesses": stats.relative_extra_accesses(),
         "metadata_lookups": stats.metadata_lookups,
         "metadata_hit_rate": stats.metadata_hit_rate(),
+        "compression_ratio": run.final_ratio if ratio is None else ratio,
     }
-    if ratio is not None:
-        summary["compression_ratio"] = ratio
-    return summary
-
-
-def _compresso_stats(runs) -> Dict[str, Any]:
-    """A per-system unit's journaled stats: those of its Compresso run."""
-    compresso = runs["compresso"]
-    return _stats_summary(compresso.controller_stats,
-                          ratio=compresso.final_ratio)
-
-
-def _with_sanitizer(output: Dict[str, Any], runs) -> Dict[str, Any]:
-    """Attach the ``sanitizer`` journal block, summed over a unit's runs.
-
-    The block is present when the unit's runs were sanitized, and it
-    carries ``faults_injected`` when they also ran a fault injector.
-    The uncompressed baseline has neither and adds nothing.
-    """
-    violations = [run.sanitizer_violations for run in runs
-                  if run.sanitizer_violations is not None]
+    if run.timeline is not None:
+        output["timeline"] = run.timeline
+    violations = [each.sanitizer_violations for each in runs
+                  if each.sanitizer_violations is not None]
     if violations:
         block = {"violations": sum(violations)}
-        faults = [run.faults_injected for run in runs
-                  if run.faults_injected is not None]
+        faults = [each.faults_injected for each in runs
+                  if each.faults_injected is not None]
         if faults:
             block["faults_injected"] = sum(faults)
         output["sanitizer"] = block
     return output
+
+
+def _packed_ratio(packer, pages: Sequence[Sequence[int]]) -> float:
+    """Compression ratio of pages (line-size lists) packed by ``packer``
+    into whole chunks; a set with no allocated bytes reads as 64."""
+    raw = allocated = 0
+    for sizes in pages:
+        layout = packer.pack(sizes)
+        raw += PAGE_BYTES
+        if layout.total_bytes:
+            allocated += chunks_for(layout.total_bytes) * CHUNK_BYTES
+    return raw / allocated if allocated else 64.0
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +211,9 @@ def _unit_fig2(benchmark: str, scale: ExperimentScale) -> dict:
     row: Dict[str, Any] = {"benchmark": profile.name}
     for combo, (compressor, packer) in combos.items():
         cache = SizeCache(compressor)
-        raw = allocated = 0
-        for page in range(n_pages):
-            sizes = [
-                _line_size(cache, line)
-                for line in workload.page_lines(page)
-            ]
-            layout = packer.pack(sizes)
-            raw += PAGE_BYTES
-            if layout.total_bytes:
-                allocated += chunks_for(layout.total_bytes) * CHUNK_BYTES
-        row[combo] = raw / allocated if allocated else 64.0
+        row[combo] = _packed_ratio(packer, [
+            [_line_size(cache, line) for line in workload.page_lines(page)]
+            for page in range(n_pages)])
     return {"row": row}
 
 
@@ -261,7 +257,8 @@ def _unit_fig4(benchmark: str, scale: ExperimentScale) -> dict:
     runs = []
     for label, config in configs.items():
         prefix = "fixed" if label.startswith("fixed") else "var"
-        run = _simulate_with_config(profile, config, scale)
+        run = simulate(profile, "custom", scale.sim(), config=config,
+                       tracer=_tracer(scale))
         runs.append(run)
         stats = run.controller_stats
         breakdown = stats.breakdown()
@@ -269,7 +266,7 @@ def _unit_fig4(benchmark: str, scale: ExperimentScale) -> dict:
         row[f"{prefix}:split"] = breakdown["split"]
         row[f"{prefix}:ovf"] = breakdown["overflow"]
         row[f"{prefix}:md"] = breakdown["metadata"]
-    return _with_sanitizer(_sweep_output(row, runs[-1]), runs)
+    return _output(runs[-1], runs, row=row)
 
 
 def run_fig4(scale: ExperimentScale = DEFAULT,
@@ -299,28 +296,6 @@ def run_fig4(scale: ExperimentScale = DEFAULT,
     return result
 
 
-def _simulate_with_config(profile, config, scale: ExperimentScale):
-    """Run the cycle simulator with an explicit controller config.
-
-    When ``scale.trace_window`` is set the run is traced and the result
-    carries a :func:`repro.obs.timeline_digest` in ``.timeline``.
-    """
-    tracer = (Tracer(digest_window=scale.trace_window)
-              if scale.trace_window else None)
-    return simulate(profile, "custom", scale.sim(), config=config,
-                    tracer=tracer)
-
-
-def _sweep_output(row: Dict[str, Any], last) -> Dict[str, Any]:
-    """Output of a unit that sweeps controller configs: its row, plus
-    the stats and (when traced) the timeline of its last run."""
-    output = {"row": row, "stats": _stats_summary(last.controller_stats,
-                                                  ratio=last.final_ratio)}
-    if last.timeline is not None:
-        output["timeline"] = last.timeline
-    return output
-
-
 # ---------------------------------------------------------------------------
 # Fig. 6 — the optimization ladder
 # ---------------------------------------------------------------------------
@@ -331,10 +306,11 @@ def _unit_fig6(benchmark: str, scale: ExperimentScale) -> dict:
     row: Dict[str, Any] = {"benchmark": profile.name}
     runs = []
     for name, config in optimization_ladder():
-        run = _simulate_with_config(profile, config, scale)
+        run = simulate(profile, "custom", scale.sim(), config=config,
+                       tracer=_tracer(scale))
         runs.append(run)
         row[name] = run.controller_stats.relative_extra_accesses()
-    return _with_sanitizer(_sweep_output(row, runs[-1]), runs)
+    return _output(runs[-1], runs, row=row)
 
 
 def run_fig6(scale: ExperimentScale = DEFAULT,
@@ -369,17 +345,17 @@ def run_fig6(scale: ExperimentScale = DEFAULT,
 def _unit_fig7(benchmark: str, scale: ExperimentScale) -> dict:
     """Fig. 7 cell: final ratio with vs without dynamic repacking."""
     profile = PROFILES[benchmark]
-    with_config = compresso_config()
-    without_config = compresso_config(enable_repacking=False)
     # Repacking matters for *long-running* applications (§IV-B4): slots
     # only ever ratchet up without it, so each line must be rewritten
     # several times for the squandering to accumulate.  Use a longer
     # trace over a smaller footprint than the other experiments.
     long_scale = replace(scale, n_events=scale.n_events * 4,
                          scale=max(0.008, scale.scale / 4))
-    with_run = _simulate_with_config(profile, with_config, long_scale)
-    without_run = _simulate_with_config(profile, without_config,
-                                        long_scale)
+    with_run, without_run = [
+        simulate(profile, "custom", long_scale.sim(), config=config,
+                 tracer=_tracer(long_scale))
+        for config in (compresso_config(),
+                       compresso_config(enable_repacking=False))]
     with_ratio = with_run.final_ratio
     without_ratio = without_run.final_ratio
     row = {
@@ -388,10 +364,7 @@ def _unit_fig7(benchmark: str, scale: ExperimentScale) -> dict:
         "without_repack": without_ratio,
         "relative": without_ratio / with_ratio,
     }
-    return _with_sanitizer(
-        {"row": row, "stats": _stats_summary(with_run.controller_stats,
-                                             ratio=with_ratio)},
-        (with_run, without_run))
+    return _output(with_run, (with_run, without_run), row=row)
 
 
 def run_fig7(scale: ExperimentScale = DEFAULT,
@@ -490,13 +463,10 @@ def _unit_fig10(benchmark: str, scale: ExperimentScale,
     """Fig. 10 cell: cycle/capacity/overall for one benchmark."""
     profile = PROFILES[benchmark]
     sim = scale.sim()
-    runs = {
-        system: simulate(profile, system, sim)
-        for system in ("uncompressed",) + COMPRESSED_SYSTEMS
-    }
-    baseline = runs["uncompressed"]
+    runs = {system: simulate(profile, system, sim, tracer=_tracer(scale))
+            for system in ("uncompressed",) + COMPRESSED_SYSTEMS}
     capacity = capacity_impact(
-        profile,
+        [profile],
         {system: runs[system].ratio_timeline
          for system in COMPRESSED_SYSTEMS},
         CapacityConfig(
@@ -507,31 +477,26 @@ def _unit_fig10(benchmark: str, scale: ExperimentScale,
                                 profile.footprint_pages),
         ),
     )
-    row: Dict[str, Any] = {"benchmark": profile.name}
-    for system in COMPRESSED_SYSTEMS:
-        row[f"{system}:cycle"] = runs[system].speedup_over(baseline)
-        row[f"{system}:cap"] = capacity.relative(system)
-        row[f"{system}:overall"] = (
-            row[f"{system}:cycle"] * row[f"{system}:cap"])
-    row["unconstrained:cap"] = capacity.relative("unconstrained")
-    row["_stalled"] = bool(
-        profile.name in CAPACITY_STALLERS or capacity.stalled)
-    return _with_sanitizer({"row": row, "stats": _compresso_stats(runs)},
-                           runs.values())
+    row = {"benchmark": profile.name,
+           **_performance_row(runs, capacity),
+           "_stalled": bool(profile.name in CAPACITY_STALLERS
+                            or capacity.stalled)}
+    return _output(runs["compresso"], runs.values(), row=row)
 
 
 def run_fig10(scale: ExperimentScale = DEFAULT,
               memory_fraction: float = 0.7,
               runner: Optional[Runner] = None) -> ExperimentResult:
     """Per-benchmark cycle-based, capacity-impact and overall performance."""
-    columns = ["benchmark"]
-    for system in COMPRESSED_SYSTEMS:
-        columns += [f"{system}:cycle", f"{system}:cap", f"{system}:overall"]
-    columns.append("unconstrained:cap")
-    result = ExperimentResult(
+    outputs = _run_units(
+        runner, "fig10", _unit_fig10,
+        [(name, {"benchmark": name, "scale": scale,
+                 "memory_fraction": memory_fraction})
+         for name in scale.benchmarks])
+    return _performance_result(
+        "benchmark", outputs,
         experiment_id="fig10",
         title=f"Single-core performance at {int(memory_fraction*100)}% memory",
-        columns=columns,
         paper_values={
             "cycle geomeans": "LCP 0.938 / LCP+Align 0.961 / Compresso 0.998",
             "capacity means (70%)": "LCP 1.11 / Compresso 1.29 / "
@@ -541,14 +506,33 @@ def run_fig10(scale: ExperimentScale = DEFAULT,
         notes=["mcf, GemsFDTD and lbm are excluded from capacity/overall "
                "aggregates (they stall under constrained memory, §VII-A)"],
     )
-    outputs = _run_units(
-        runner, "fig10", _unit_fig10,
-        [(name, {"benchmark": name, "scale": scale,
-                 "memory_fraction": memory_fraction})
-         for name in scale.benchmarks])
+
+
+def _performance_row(runs, capacity) -> Dict[str, float]:
+    """Per-system cycle, capacity and overall speedups (Figs. 10/11)."""
+    baseline = runs["uncompressed"]
+    row: Dict[str, float] = {}
+    for system in COMPRESSED_SYSTEMS:
+        cycle = runs[system].speedup_over(baseline)
+        cap = capacity.relative(system)
+        row[f"{system}:cycle"] = cycle
+        row[f"{system}:cap"] = cap
+        row[f"{system}:overall"] = cycle * cap
+    row["unconstrained:cap"] = capacity.relative("unconstrained")
+    return row
+
+
+def _performance_result(key: str, outputs, **fields) -> ExperimentResult:
+    """A Fig. 10/11 table: one row per unit output under the columns of
+    :func:`_performance_row`, then the per-system aggregates.  Rows
+    marked ``_stalled`` leave the capacity and overall aggregates."""
+    columns = [key]
+    for system in COMPRESSED_SYSTEMS:
+        columns += [f"{system}:cycle", f"{system}:cap", f"{system}:overall"]
+    columns.append("unconstrained:cap")
+    result = ExperimentResult(columns=columns, **fields)
     for output in outputs:
         result.add_row(**output["row"])
-
     usable = [row for row in result.rows if not row.get("_stalled")]
     for system in COMPRESSED_SYSTEMS:
         result.summary[f"{system} cycle geomean"] = geometric_mean(
@@ -573,14 +557,14 @@ def _unit_fig11(mix: str, scale: ExperimentScale,
     # 4-core events per core: keep total work comparable to single-core.
     sim = scale.sim(n_events=max(500, scale.n_events // 4))
     runs = {
-        system: simulate_multicore(profiles, system, sim, mix)
+        system: simulate_multicore(profiles, system, sim, mix,
+                                   tracer=_tracer(scale))
         for system in ("uncompressed",) + COMPRESSED_SYSTEMS
     }
-    baseline = runs["uncompressed"]
     # Four interleaved streams share the touches: keep the combined
     # footprint small enough that the budget actually binds (the
     # reference strings need >= ~50 touches per page).
-    capacity = multicore_capacity_impact(
+    capacity = capacity_impact(
         profiles,
         {system: runs[system].ratio_timeline
          for system in COMPRESSED_SYSTEMS},
@@ -591,52 +575,29 @@ def _unit_fig11(mix: str, scale: ExperimentScale,
             footprint_pages=min(150, scale.capacity_footprint_cap),
         ),
     )
-    row: Dict[str, Any] = {"mix": mix}
-    for system in COMPRESSED_SYSTEMS:
-        row[f"{system}:cycle"] = runs[system].speedup_over(baseline)
-        row[f"{system}:cap"] = capacity.relative(system)
-        row[f"{system}:overall"] = (
-            row[f"{system}:cycle"] * row[f"{system}:cap"])
-    row["unconstrained:cap"] = capacity.relative("unconstrained")
-    return _with_sanitizer({"row": row, "stats": _compresso_stats(runs)},
-                           runs.values())
+    row = {"mix": mix, **_performance_row(runs, capacity)}
+    return _output(runs["compresso"], runs.values(), row=row)
 
 
 def run_fig11(scale: ExperimentScale = DEFAULT,
               memory_fraction: float = 0.7,
               runner: Optional[Runner] = None) -> ExperimentResult:
     """Per-mix 4-core cycle, capacity and overall performance."""
-    columns = ["mix"]
-    for system in COMPRESSED_SYSTEMS:
-        columns += [f"{system}:cycle", f"{system}:cap", f"{system}:overall"]
-    columns.append("unconstrained:cap")
-    result = ExperimentResult(
+    outputs = _run_units(
+        runner, "fig11", _unit_fig11,
+        [(mix_name, {"mix": mix_name, "scale": scale,
+                     "memory_fraction": memory_fraction})
+         for mix_name in scale.mixes])
+    return _performance_result(
+        "mix", outputs,
         experiment_id="fig11",
         title=f"4-core performance at {int(memory_fraction*100)}% memory",
-        columns=columns,
         paper_values={
             "cycle geomeans": "LCP 0.90 / LCP+Align 0.95 / Compresso 0.975",
             "capacity": "LCP 1.97 / Compresso 2.33 / unconstrained 2.51",
             "overall": "LCP 1.78 / LCP+Align 1.90 / Compresso 2.27",
         },
     )
-    outputs = _run_units(
-        runner, "fig11", _unit_fig11,
-        [(mix_name, {"mix": mix_name, "scale": scale,
-                     "memory_fraction": memory_fraction})
-         for mix_name in scale.mixes])
-    for output in outputs:
-        result.add_row(**output["row"])
-    for system in COMPRESSED_SYSTEMS:
-        result.summary[f"{system} cycle geomean"] = geometric_mean(
-            [row[f"{system}:cycle"] for row in result.rows])
-        result.summary[f"{system} capacity mean"] = arithmetic_mean(
-            [row[f"{system}:cap"] for row in result.rows])
-        result.summary[f"{system} overall geomean"] = geometric_mean(
-            [row[f"{system}:overall"] for row in result.rows])
-    result.summary["unconstrained capacity mean"] = arithmetic_mean(
-        [row["unconstrained:cap"] for row in result.rows])
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +609,8 @@ def _unit_fig12(benchmark: str, scale: ExperimentScale) -> dict:
     profile = PROFILES[benchmark]
     model = EnergyModel()
     sim = scale.sim()
-    runs = {
-        system: simulate(profile, system, sim)
-        for system in ("uncompressed",) + COMPRESSED_SYSTEMS
-    }
+    runs = {system: simulate(profile, system, sim, tracer=_tracer(scale))
+            for system in ("uncompressed",) + COMPRESSED_SYSTEMS}
     energies = {}
     for system, run in runs.items():
         stats = None if system == "uncompressed" else run.controller_stats
@@ -669,8 +628,7 @@ def _unit_fig12(benchmark: str, scale: ExperimentScale) -> dict:
         "compresso:core": model.relative(
             energies["compresso"], baseline)["core"],
     }
-    return _with_sanitizer({"row": row, "stats": _compresso_stats(runs)},
-                           runs.values())
+    return _output(runs["compresso"], runs.values(), row=row)
 
 
 def run_fig12(scale: ExperimentScale = DEFAULT,
@@ -712,17 +670,15 @@ def _unit_tab2(benchmark: str, scale: ExperimentScale,
     """
     profile = PROFILES[benchmark]
     sim = scale.sim()
-    runs = {
-        system: simulate(profile, system, sim)
-        for system in ("lcp", "compresso")
-    }
+    runs = {system: simulate(profile, system, sim, tracer=_tracer(scale))
+            for system in ("lcp", "compresso")}
     timelines = {
         system: run.ratio_timeline for system, run in runs.items()
     }
     budgets = []
     for fraction in fractions:
         capacity = capacity_impact(
-            profile, timelines,
+            [profile], timelines,
             CapacityConfig(
                 memory_fraction=fraction,
                 n_touches=scale.capacity_touches,
@@ -737,9 +693,7 @@ def _unit_tab2(benchmark: str, scale: ExperimentScale,
             "compresso": capacity.relative("compresso"),
             "unconstrained": capacity.relative("unconstrained"),
         })
-    return _with_sanitizer(
-        {"budgets": budgets, "stats": _compresso_stats(runs)},
-        runs.values())
+    return _output(runs["compresso"], runs.values(), budgets=budgets)
 
 
 def run_tab2(scale: ExperimentScale = DEFAULT,
@@ -803,14 +757,6 @@ def _unit_ablation(label: str, scale: ExperimentScale) -> dict:
                 [_line_size(cache, line)
                  for line in workload.page_lines(page)])
 
-    packer = LinePack(bins)
-    raw = allocated = 0
-    for sizes in page_sizes:
-        layout = packer.pack(sizes)
-        raw += PAGE_BYTES
-        if layout.total_bytes:
-            allocated += chunks_for(layout.total_bytes) * CHUNK_BYTES
-
     # Dynamic part: line-overflow frequency under this bin set, from the
     # gcc profile's overwrite phases (the overflow-heavy workload).
     config = compresso_config(
@@ -819,19 +765,18 @@ def _unit_ablation(label: str, scale: ExperimentScale) -> dict:
         enable_ir_expansion=False,
         enable_metadata_half_entries=False,
     )
-    run = _simulate_with_config(PROFILES["gcc"], config, scale)
+    run = simulate(PROFILES["gcc"], "custom", scale.sim(), config=config,
+                   tracer=_tracer(scale))
     stats = run.controller_stats
     overflow_rate = stats.line_overflows / max(1, stats.demand_writes)
     flat_sizes = [s for sizes in page_sizes for s in sizes]
     row = {
         "config": label,
-        "ratio": raw / allocated if allocated else 64.0,
+        "ratio": _packed_ratio(LinePack(bins), page_sizes),
         "line_overflow_rate": overflow_rate,
         "split_fraction": split_access_fraction(flat_sizes, bins),
     }
-    return _with_sanitizer(
-        {"row": row, "stats": _stats_summary(stats, ratio=row["ratio"])},
-        (run,))
+    return _output(run, (run,), ratio=row["ratio"], row=row)
 
 
 def run_ablation_design_space(scale: ExperimentScale = DEFAULT,

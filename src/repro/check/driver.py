@@ -23,7 +23,7 @@ from .rules import (ModuleSource, ProjectRule, SuppressionComment, all_rules,
                     get_rule)
 
 #: Repo-relative directories lint walks for Python files by default.
-DEFAULT_LINT_DIRS = ("src/repro", "scripts")
+DEFAULT_LINT_DIRS = ("src/repro", "scripts", "tests", "examples")
 
 #: Pseudo-rule ids minted by the driver itself (not in the registry).
 SYNTAX_RULE = "syntax-error"

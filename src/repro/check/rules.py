@@ -29,7 +29,7 @@ import io
 import re
 import tokenize
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Type
 
 from .findings import Finding
 
@@ -211,13 +211,6 @@ def get_rule(rule_id: str) -> Rule:
 def _ensure_builtins() -> None:
     """Import the built-in rule modules so their @register calls run."""
     from . import builtin_rules  # reprolint: disable=unused-import
-
-
-def walk_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    """All Call nodes in a tree (shared helper for several rules)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

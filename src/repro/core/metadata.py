@@ -27,7 +27,6 @@ from ..machine import (
     LINES_PER_PAGE,
     METADATA_ENTRY_BYTES,
 )
-from .config import CompressoConfig
 
 #: Field widths (bits).  8 MPFNs of 28 bits address 2^28 chunks of 512 B
 #: = 128 TB of machine memory, comfortably above any DDR4 system.
@@ -84,31 +83,6 @@ class PageMetadata:
             line_bins=list(self.line_bins),
             inflated_lines=list(self.inflated_lines),
         )
-
-    # -- invariant checks used throughout the tests -----------------------
-
-    def check(self, config: CompressoConfig) -> None:
-        """Raise if any structural invariant is violated."""
-        if self.size_chunks < 0 or self.size_chunks > CHUNKS_PER_PAGE:
-            raise ValueError(f"size_chunks out of range: {self.size_chunks}")
-        if len(self.mpfns) != self.size_chunks:
-            raise ValueError(
-                f"{len(self.mpfns)} MPFNs for {self.size_chunks} chunks"
-            )
-        if len(self.line_bins) != LINES_PER_PAGE:
-            raise ValueError(f"expected {LINES_PER_PAGE} line bins")
-        n_bins = len(config.line_bins)
-        if any(b < 0 or b >= n_bins for b in self.line_bins):
-            raise ValueError("line bin index out of range")
-        if len(self.inflated_lines) > INFLATION_POINTERS:
-            raise ValueError(
-                f"{len(self.inflated_lines)} inflated lines exceed "
-                f"{INFLATION_POINTERS} pointers"
-            )
-        if len(set(self.inflated_lines)) != len(self.inflated_lines):
-            raise ValueError("duplicate inflation pointers")
-        if self.zero and self.size_chunks:
-            raise ValueError("zero page must have no storage")
 
     @property
     def is_uncompressed(self) -> bool:

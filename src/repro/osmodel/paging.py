@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -139,15 +139,29 @@ def reference_string(profile: BenchmarkProfile, n_touches: int,
         produced += count
 
 
-def run_capacity_simulation(profile: BenchmarkProfile, budget,
+def run_capacity_simulation(profiles: Sequence[BenchmarkProfile], budget,
                             n_touches: int = 50000, seed: int = 0,
                             footprint_pages: Optional[int] = None,
                             cost_model: PagingCostModel = PagingCostModel()
                             ) -> tuple:
-    """Replay a reference string under a budget; returns (stats, runtime)."""
+    """Replay the profiles' reference strings under one shared budget.
+
+    Each profile gets ``n_touches // len(profiles)`` touches over its
+    own page range, offset by the footprints before it; every step
+    touches one page per profile, in order.  One profile is one
+    benchmark, four are a 4-core mix.  Returns (stats, runtime).
+    """
+    steps = n_touches // len(profiles)
+    streams = []
+    offset = 0
+    for profile in profiles:
+        pages = footprint_pages or profile.footprint_pages
+        streams.append([offset + page for page in
+                        reference_string(profile, steps, seed, pages)])
+        offset += pages
     sim = LRUPagingSimulator(budget)
-    for index, page in enumerate(
-        reference_string(profile, n_touches, seed, footprint_pages)
-    ):
-        sim.touch(page, progress=index / n_touches)
+    for step in range(steps):
+        progress = step / steps
+        for stream in streams:
+            sim.touch(stream[step], progress)
     return sim.stats, cost_model.runtime(sim.stats)

@@ -4,7 +4,6 @@ from .capacity import (
     CapacityConfig,
     CapacityResult,
     capacity_impact,
-    multicore_capacity_impact,
 )
 from .compresspoints import (
     IntervalProfile,
@@ -41,7 +40,6 @@ __all__ = [
     "capacity_impact",
     "chunk_vs_variable_configs",
     "kmeans",
-    "multicore_capacity_impact",
     "optimization_ladder",
     "profile_intervals",
     "representativeness_error",

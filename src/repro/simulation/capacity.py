@@ -19,7 +19,7 @@ the ratio of runtimes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..osmodel.cgroups import DynamicBudget, StaticBudget
 from ..osmodel.paging import PagingCostModel, run_capacity_simulation
@@ -33,7 +33,7 @@ class CapacityConfig:
     memory_fraction: float = 0.7      # budget / footprint (Tab. II rows)
     n_touches: int = 40000
     seed: int = 0
-    footprint_pages: Optional[int] = None  # default: profile footprint
+    footprint_pages: Optional[int] = None  # per profile; default: its footprint
     cost_model: PagingCostModel = PagingCostModel()
 
 
@@ -59,17 +59,23 @@ class CapacityResult:
                 > 5 * self.runtimes["unconstrained"])
 
 
-def capacity_impact(profile: BenchmarkProfile,
+def capacity_impact(profiles: Sequence[BenchmarkProfile],
                     ratio_timelines: Dict[str, Sequence[float]],
                     config: CapacityConfig = CapacityConfig()
                     ) -> CapacityResult:
-    """Run the §VI-A methodology for one benchmark.
+    """Run the §VI-A methodology for one benchmark or one 4-core mix.
+
+    A single benchmark passes ``[profile]``.  The profiles' combined
+    footprint is budgeted as a whole, so in a mix a compressible
+    benchmark frees room for an incompressible one — the slack effect
+    the paper describes for Mixes 2/4/5/7 (§VII-B).
 
     ``ratio_timelines`` maps system name → compression-ratio samples
     over the run (from the cycle-based simulation); the uncompressed
     constrained and unconstrained runs are added automatically.
     """
-    footprint = config.footprint_pages or profile.footprint_pages
+    footprint = sum(config.footprint_pages or p.footprint_pages
+                    for p in profiles)
     budget_pages = max(1, int(footprint * config.memory_fraction))
 
     budgets = {
@@ -84,66 +90,14 @@ def capacity_impact(profile: BenchmarkProfile,
     fault_rates: Dict[str, float] = {}
     for system, budget in budgets.items():
         stats, runtime = run_capacity_simulation(
-            profile, budget,
+            profiles, budget,
             n_touches=config.n_touches,
             seed=config.seed,
-            footprint_pages=footprint,
+            footprint_pages=config.footprint_pages,
             cost_model=config.cost_model,
         )
         runtimes[system] = runtime
         fault_rates[system] = stats.fault_rate()
-    return CapacityResult(
-        benchmark=profile.name,
-        memory_fraction=config.memory_fraction,
-        runtimes=runtimes,
-        fault_rates=fault_rates,
-    )
-
-
-def multicore_capacity_impact(profiles: List[BenchmarkProfile],
-                              ratio_timelines: Dict[str, Sequence[float]],
-                              config: CapacityConfig = CapacityConfig()
-                              ) -> CapacityResult:
-    """4-core capacity run: one shared budget over interleaved streams.
-
-    The workload's combined footprint is budgeted as a whole, so a
-    compressible benchmark frees room for an incompressible one — the
-    slack effect the paper describes for Mixes 2/4/5/7 (§VII-B).
-    """
-    from ..osmodel.paging import LRUPagingSimulator, reference_string
-
-    footprints = [
-        config.footprint_pages or p.footprint_pages for p in profiles
-    ]
-    total = sum(footprints)
-    budget_pages = max(1, int(total * config.memory_fraction))
-    budgets = {
-        "constrained": StaticBudget(budget_pages),
-        "unconstrained": StaticBudget(total),
-    }
-    for system, timeline in ratio_timelines.items():
-        samples = [max(1.0, r) for r in timeline] or [1.0]
-        budgets[system] = DynamicBudget(budget_pages, samples)
-
-    touches_per_core = config.n_touches // len(profiles)
-    streams = []
-    offset = 0
-    for profile, footprint in zip(profiles, footprints):
-        pages = list(reference_string(profile, touches_per_core,
-                                      config.seed, footprint))
-        streams.append([offset + page for page in pages])
-        offset += footprint
-
-    runtimes: Dict[str, float] = {}
-    fault_rates: Dict[str, float] = {}
-    for system, budget in budgets.items():
-        sim = LRUPagingSimulator(budget)
-        for step in range(touches_per_core):
-            progress = step / touches_per_core
-            for stream in streams:
-                sim.touch(stream[step], progress)
-        runtimes[system] = config.cost_model.runtime(sim.stats)
-        fault_rates[system] = sim.stats.fault_rate()
     return CapacityResult(
         benchmark="+".join(p.name for p in profiles),
         memory_fraction=config.memory_fraction,

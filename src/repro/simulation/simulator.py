@@ -100,10 +100,6 @@ class SimulationResult:
     #: injector (``faults=None``).
     faults_injected: Optional[int] = None
 
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
     def speedup_over(self, baseline: "SimulationResult") -> float:
         """Relative performance vs. a run of the same trace."""
         if baseline.instructions != self.instructions:

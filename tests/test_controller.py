@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from repro.check import MemorySanitizer
 from repro.core import (
     CompressedMemoryController,
     compresso_config,
@@ -18,6 +19,13 @@ from repro.workloads import PROFILES, TraceGenerator, Workload
 def make_controller(config=None, installed_mb=32):
     geometry = MemoryGeometry(installed_bytes=installed_mb * 1024 * 1024)
     return CompressedMemoryController(config or compresso_config(), geometry)
+
+
+def assert_pages_sound(ctrl):
+    """Every page passes the strict memory-model sanitizer's checks."""
+    sanitizer = MemorySanitizer(ctrl.config, raise_on_violation=True)
+    for page, state in ctrl.pages.items():
+        sanitizer.check_page(ctrl, page, state)
 
 
 def int_line(seed: int) -> bytes:
@@ -194,7 +202,7 @@ class TestLineOverflow:
             ctrl.write_line(0, line, random_line(line))
         meta = ctrl.pages[0].meta
         assert len(meta.inflated_lines) <= 17
-        meta.check(ctrl.config)
+        assert_pages_sound(ctrl)
 
 
 class TestPredictorIntegration:
@@ -365,8 +373,7 @@ class TestConservation:
             data = (int_line(rng.randrange(100)) if rng.random() < 0.5
                     else random_line(rng.randrange(100)))
             ctrl.write_line(page, line, data)
-        for state in ctrl.pages.values():
-            state.meta.check(ctrl.config)
+        assert_pages_sound(ctrl)
 
     def test_layout_fits_allocation_after_churn(self):
         ctrl = make_controller()

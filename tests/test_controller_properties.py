@@ -6,6 +6,7 @@ import struct
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.check import MemorySanitizer
 from repro.core import (
     CompressedMemoryController,
     compresso_config,
@@ -89,9 +90,10 @@ def test_structural_invariants_hold(ops):
     allocator = controller.memory.allocator
     assert (allocator.used_chunks + allocator.free_chunks
             == allocator.total_chunks)
+    sanitizer = MemorySanitizer(controller.config, raise_on_violation=True)
     expected_chunks = 0
-    for state in controller.pages.values():
-        state.meta.check(controller.config)
+    for page, state in controller.pages.items():
+        sanitizer.check_page(controller, page, state)
         expected_chunks += state.meta.size_chunks
         if state.meta.valid and state.meta.compressed:
             layout = controller._layout(state)

@@ -1,10 +1,8 @@
 """Tests for the 64-byte metadata entry layout (paper §III, Fig. 3)."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.config import compresso_config
 from repro.core.metadata import (
     HALF_ENTRY_BITS,
     TOTAL_BITS,
@@ -86,33 +84,6 @@ class TestEncodeDecode:
 
 
 class TestInvariants:
-    def test_check_accepts_valid(self):
-        _sample_metadata().check(compresso_config())
-
-    def test_mpfn_count_must_match_chunks(self):
-        meta = _sample_metadata()
-        meta.mpfns.append(7)
-        with pytest.raises(ValueError):
-            meta.check(compresso_config())
-
-    def test_too_many_inflated(self):
-        meta = _sample_metadata()
-        meta.inflated_lines = list(range(18))
-        with pytest.raises(ValueError):
-            meta.check(compresso_config())
-
-    def test_duplicate_inflation_pointers(self):
-        meta = _sample_metadata()
-        meta.inflated_lines = [3, 3]
-        with pytest.raises(ValueError):
-            meta.check(compresso_config())
-
-    def test_zero_page_has_no_storage(self):
-        meta = _sample_metadata()
-        meta.zero = True
-        with pytest.raises(ValueError):
-            meta.check(compresso_config())
-
     def test_copy_is_deep(self):
         meta = _sample_metadata()
         copy = meta.copy()

@@ -290,18 +290,41 @@ class TestTraceCli:
         assert csv.read_text().startswith("window,start_clock")
 
     def test_run_command_journals_timeline(self, tmp_path):
-        from repro.analysis.experiments import QUICK, run_fig4
-        import dataclasses
+        """``trace_window`` puts a timeline on the ``unit_end`` of every
+        cycle-based unit, and it reconciles with the unit's stats."""
+        from repro.analysis.experiments import (
+            ExperimentScale,
+            run_ablation_design_space,
+            run_fig4,
+            run_fig6,
+            run_fig7,
+            run_fig10,
+            run_fig11,
+            run_fig12,
+            run_tab2,
+        )
 
-        scale = dataclasses.replace(
-            QUICK, n_events=400, benchmarks=("gcc",),
-            trace_window=100)
+        scale = ExperimentScale(
+            n_events=200, scale=0.004, capacity_touches=600,
+            capacity_footprint_cap=30, fig2_pages=4, benchmarks=("gcc",),
+            mixes=("mix6",), trace_window=100)
         journal = RunJournal(tmp_path / "runs.jsonl")
         runner = Runner(journal=journal)
-        run_fig4(scale, runner=runner)
+        cycle_based = (run_fig4, run_fig6, run_fig7, run_fig10, run_fig11,
+                       run_fig12, run_tab2, run_ablation_design_space)
+        for run in cycle_based:
+            run(scale, runner=runner)
         ends = [record for record in read_journal(journal.path)
                 if record["event"] == "unit_end"]
-        assert ends and all("timeline" in record for record in ends)
-        digest = ends[0]["timeline"]
-        assert digest["window"] == 100
-        assert digest["extra_accesses"] == sum(digest["by_source"].values())
+        assert {record["experiment"] for record in ends} == {
+            "fig4", "fig6", "fig7", "fig10", "fig11", "fig12", "tab2",
+            "ablation"}
+        assert [record["unit"] for record in ends
+                if "timeline" not in record] == []
+        for record in ends:
+            digest = record["timeline"]
+            assert digest["window"] == 100
+            assert digest["extra_accesses"] == sum(
+                digest["by_source"].values())
+            assert (digest["extra_accesses"]
+                    == record["stats"]["extra_accesses"]), record["unit"]

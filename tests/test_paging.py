@@ -83,10 +83,10 @@ class TestCapacityRuns:
         pages = 400
         budget_pages = int(pages * 0.7)
         static_stats, static_rt = run_capacity_simulation(
-            profile, StaticBudget(budget_pages), n_touches=20000,
+            [profile], StaticBudget(budget_pages), n_touches=20000,
             footprint_pages=pages)
         dynamic_stats, dynamic_rt = run_capacity_simulation(
-            profile, DynamicBudget(budget_pages, [2.0]), n_touches=20000,
+            [profile], DynamicBudget(budget_pages, [2.0]), n_touches=20000,
             footprint_pages=pages)
         assert dynamic_stats.faults <= static_stats.faults
         assert dynamic_rt <= static_rt
@@ -95,10 +95,10 @@ class TestCapacityRuns:
         profile = get_profile("soplex")
         pages = 400
         _, constrained = run_capacity_simulation(
-            profile, StaticBudget(int(pages * 0.6)), n_touches=20000,
+            [profile], StaticBudget(int(pages * 0.6)), n_touches=20000,
             footprint_pages=pages)
         _, unconstrained = run_capacity_simulation(
-            profile, StaticBudget(pages), n_touches=20000,
+            [profile], StaticBudget(pages), n_touches=20000,
             footprint_pages=pages)
         assert unconstrained <= constrained
 
@@ -107,17 +107,17 @@ class TestCapacityRuns:
         profile = get_profile("gamess")
         pages = 400
         _, constrained = run_capacity_simulation(
-            profile, StaticBudget(int(pages * 0.7)), n_touches=20000,
+            [profile], StaticBudget(int(pages * 0.7)), n_touches=20000,
             footprint_pages=pages)
         _, unconstrained = run_capacity_simulation(
-            profile, StaticBudget(pages), n_touches=20000,
+            [profile], StaticBudget(pages), n_touches=20000,
             footprint_pages=pages)
         assert constrained <= unconstrained * 1.1
 
     def test_determinism(self):
         profile = get_profile("mcf")
-        a = run_capacity_simulation(profile, StaticBudget(100),
+        a = run_capacity_simulation([profile], StaticBudget(100),
                                     n_touches=5000, footprint_pages=300)
-        b = run_capacity_simulation(profile, StaticBudget(100),
+        b = run_capacity_simulation([profile], StaticBudget(100),
                                     n_touches=5000, footprint_pages=300)
         assert a[0].faults == b[0].faults

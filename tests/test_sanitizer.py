@@ -133,6 +133,46 @@ def test_duplicate_inflation_pointers_are_caught():
     assert "inflation-room" in _invariants(controller)
 
 
+def _sparse_random_page(seed=0):
+    """One random line in three, zeros elsewhere: a multi-chunk page."""
+    import random
+    rng = random.Random(seed)
+    return [bytes(rng.getrandbits(8) for _ in range(64)) if line % 3 == 0
+            else bytes(64) for line in range(64)]
+
+
+@pytest.mark.parametrize("allocation, plant, expected", [
+    pytest.param("chunks", lambda meta: meta.mpfns.append(7),
+                 "metadata-desync", id="extra-mpfn"),
+    pytest.param("chunks",
+                 lambda meta: setattr(meta, "inflated_lines",
+                                      list(range(18))),
+                 "inflation-room", id="18-inflated-lines"),
+    pytest.param("chunks",
+                 lambda meta: setattr(meta, "inflated_lines", [3, 3]),
+                 "inflation-room", id="duplicate-inflation-pointers"),
+    pytest.param("chunks", lambda meta: setattr(meta, "zero", True),
+                 "zero-page-storage", id="zero-page-with-storage"),
+    pytest.param("variable", lambda meta: None, None,
+                 id="clean-variable-page"),
+])
+def test_planted_metadata_corruption(allocation, plant, expected):
+    """Each corruption planted in a multi-chunk page's metadata trips its
+    invariant; an untouched variable-allocation page, whose one MPFN
+    names its whole region, trips none."""
+    controller = _controller(config=compresso_config(allocation=allocation))
+    controller.install_page(0, _sparse_random_page())
+    meta = controller.pages[0].meta
+    assert meta.size_chunks > 1
+    plant(meta)
+    controller.sanitizer.check_all(controller)
+    caught = _invariants(controller)
+    if expected is None:
+        assert caught == []
+    else:
+        assert expected in caught
+
+
 def test_allocator_refuses_direct_double_free():
     controller = _controller()
     controller.install_page(0, _page_lines())
