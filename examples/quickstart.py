@@ -70,8 +70,8 @@ def demo_controller() -> None:
                                      for i in range(16)])
     assert check.data == expected
     print(f"compression ratio: {controller.compression_ratio():.2f}x")
-    print(f"machine memory used: {controller.used_bytes() >> 10} KB for "
-          f"{16 * 4} KB of OS data")
+    used_kb = controller.allocator.used_bytes >> 10
+    print(f"machine memory used: {used_kb} KB for {16 * 4} KB of OS data")
 
     stats = controller.stats
     print(f"demand accesses: {stats.demand_accesses}, "

@@ -166,7 +166,7 @@ class MemorySanitizer:
         if bad_bins:
             self._report("metadata-desync", page,
                          f"line bin index out of range: {bad_bins[:4]}")
-        allocator = controller.memory.allocator
+        allocator = controller.allocator
         # A contiguous region is named by its base MPFN alone.
         expected = (min(meta.size_chunks, 1) if allocator.contiguous
                     else meta.size_chunks)
@@ -283,7 +283,7 @@ class MemorySanitizer:
     # -- allocator ownership (§II-D) --------------------------------------
 
     def check_allocator(self, controller) -> None:
-        allocator = controller.memory.allocator
+        allocator = controller.allocator
         kind = "region" if allocator.contiguous else "chunk"
         owner: Dict[int, int] = {}
         for page, state in controller.pages.items():
@@ -343,7 +343,7 @@ class MemorySanitizer:
         Walks the whole free list, so this runs on full sweeps
         (:meth:`check_all`, flushes, scrubs) rather than per-op.
         """
-        for problem in controller.memory.allocator.check_books():
+        for problem in controller.allocator.check_books():
             self._report("alloc-books", None, problem)
 
     # -- reporting --------------------------------------------------------

@@ -11,7 +11,7 @@ from ..memory.allocator import (
     OutOfMemoryError,
     VariableAllocator,
 )
-from .ballooning import BalloonDriver, BalloonStats, FreeListOSModel
+from .ballooning import BalloonDriver, FreeListOSModel
 from .config import (
     ALIGNMENT_FRIENDLY_LINE_BINS,
     EIGHT_LINE_BINS,
@@ -29,7 +29,7 @@ from .metadata import (
     TOTAL_BITS,
     PageMetadata,
 )
-from .metadata_cache import MetadataCache, MetadataCacheStats
+from .metadata_cache import MetadataCache
 from .packing import LineLocation, PageLayout, blocks_spanned, choose_bin
 from .predictor import PageOverflowPredictor, SaturatingCounter
 from .stats import ControllerStats
@@ -37,7 +37,6 @@ from .stats import ControllerStats
 __all__ = [
     "ALIGNMENT_FRIENDLY_LINE_BINS",
     "BalloonDriver",
-    "BalloonStats",
     "ChunkAllocator",
     "CompressedMemoryController",
     "CompressoConfig",
@@ -49,7 +48,6 @@ __all__ = [
     "LineLocation",
     "LinePack",
     "MetadataCache",
-    "MetadataCacheStats",
     "OutOfMemoryError",
     "PRIOR_WORK_LINE_BINS",
     "PageLayout",

@@ -11,28 +11,24 @@ they need no MPA storage — relieving the pressure with zero OS changes.
 ``BalloonDriver`` models that driver plus the slice of guest-OS paging
 behaviour it relies on: the OS hands over free pages first, then cold
 (least-recently-touched) pages, paying a page-out cost for dirty ones.
+Its activity is counted in :class:`~repro.core.stats.ControllerStats`
+(``balloon_*``) and traced as ``balloon_*`` events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set
+from typing import List, Optional
 
 from ..memory.allocator import OutOfMemoryError
 from ..obs.tracer import NULL_TRACER
 
 
-@dataclass
-class BalloonStats:
-    inflations: int = 0
-    pages_reclaimed: int = 0
-    pages_paged_out: int = 0       # cold pages the guest had to swap out
-    deflations: int = 0
-    pages_protected: int = 0       # reclaim candidates skipped as protected
-
-
 class BalloonDriver:
     """Compresso's balloon driver + the guest OS allocation behaviour.
+
+    Every page the balloon takes from the OS is held (its hardware
+    state invalidated, unless the controller is mid-operation on it)
+    until :meth:`deflate` returns them all.
 
     Args:
         controller: the compressed-memory controller to relieve.
@@ -48,14 +44,7 @@ class BalloonDriver:
         self.controller = controller
         self.os_pages = os_pages
         self.safety_chunks = safety_chunks
-        self.stats = BalloonStats()
         self._held_pages: List[int] = []
-        #: OSPA pages the balloon must not invalidate (repro.pressure
-        #: shields high-priority tenants' resident sets this way,
-        #: docs/PRESSURE.md).  A protected page taken from the OS is
-        #: still held, like the in-flight ``_active_page``, but its
-        #: hardware state is left untouched.
-        self._protected: Set[int] = set()
         controller.balloon = self
 
     @property
@@ -68,7 +57,6 @@ class BalloonDriver:
         """Free at least ``chunks_needed`` chunks of machine memory."""
         target = chunks_needed + self.safety_chunks
         freed = 0
-        self.stats.inflations += 1
         self.controller.stats.balloon_inflations += 1
         self._tracer.emit("balloon_inflation", chunks_needed=chunks_needed)
         while freed < target:
@@ -80,7 +68,6 @@ class BalloonDriver:
                     break
                 page, dirty = taken
                 if dirty:
-                    self.stats.pages_paged_out += 1
                     self._tracer.emit("balloon_page_out", page=page)
             freed += self._reclaim(page)
         if freed < chunks_needed:
@@ -89,37 +76,13 @@ class BalloonDriver:
                 f"(got {freed}); guest memory fully hot"
             )
 
-    def deflate(self, pages: Optional[int] = None) -> List[int]:
-        """Return held pages to the guest OS when pressure eases."""
-        count = len(self._held_pages) if pages is None else pages
-        released, self._held_pages = (
-            self._held_pages[:count],
-            self._held_pages[count:],
-        )
+    def deflate(self) -> List[int]:
+        """Return every held page to the guest OS when pressure eases."""
+        released, self._held_pages = self._held_pages, []
         if released:
-            self.stats.deflations += 1
             self._tracer.emit("balloon_deflate", extra=0,
                               pages=len(released))
         return released
-
-    @property
-    def held_pages(self) -> int:
-        return len(self._held_pages)
-
-    def protect(self, pages: Iterable[int]) -> None:
-        """Shield OSPA pages from reclaim (per-tenant priority)."""
-        self._protected.update(pages)
-
-    def unprotect(self, pages: Optional[Iterable[int]] = None) -> None:
-        """Lift protection (all pages when ``pages`` is None)."""
-        if pages is None:
-            self._protected.clear()
-        else:
-            self._protected.difference_update(pages)
-
-    @property
-    def protected_pages(self) -> int:
-        return len(self._protected)
 
     def _reclaim(self, page: int) -> int:
         """Invalidate one OSPA page in hardware; returns chunks freed."""
@@ -129,14 +92,9 @@ class BalloonDriver:
             # balloon fired from inside its allocator); hold the page
             # for the OS but leave the hardware state untouched.
             return 0
-        if page in self._protected:
-            self.stats.pages_protected += 1
-            self._tracer.emit("balloon_protect_skip", page=page)
-            return 0
         state = self.controller.pages.get(page)
         chunks = state.meta.size_chunks if state is not None else 0
         self.controller.free_page(page)
-        self.stats.pages_reclaimed += 1
         self.controller.stats.balloon_pages_reclaimed += 1
         self._tracer.emit("balloon_reclaim", page=page, chunks=chunks)
         return chunks

@@ -41,7 +41,8 @@ from ..machine import (
     PAGE_BYTES,
     chunks_for,
 )
-from ..memory.physical import MemoryGeometry, OutOfMemoryError, PhysicalMemory
+from ..memory.allocator import OutOfMemoryError, allocator_for
+from ..memory.physical import MemoryGeometry
 from ..memory.request import AccessCategory, AccessKind, AccessResult, MemAccess
 from ..obs.tracer import NULL_TRACER
 from .config import CompressoConfig
@@ -81,8 +82,7 @@ class CompressedMemoryController:
         self.config = config
         self.geometry = geometry
         self.tracer = tracer
-        self.memory = PhysicalMemory.for_config(geometry, config)
-        self.allocator = self.memory.allocator
+        self.allocator = allocator_for(config.allocation, geometry.data_bytes)
         self._sizes = SizeCache(BPCCompressor())
         packing = LinePack if config.packing == "linepack" else LCPPack
         self.packer = packing(config.line_bins)
@@ -375,9 +375,6 @@ class CompressedMemoryController:
             return float("inf") if stored else 1.0
         return stored / used
 
-    def used_bytes(self) -> int:
-        return self.memory.used_bytes
-
     def flush_metadata(self) -> List[MemAccess]:
         """Flush the metadata cache (fires repack triggers); returns traffic."""
         self.metadata_cache.flush()
@@ -432,7 +429,7 @@ class CompressedMemoryController:
             critical = not (self.config.speculative_access and not for_write)
             result.accesses.append(
                 MemAccess(AccessKind.READ, AccessCategory.METADATA,
-                          self.memory.metadata_address(page), critical=critical)
+                          self.geometry.metadata_address(page), critical=critical)
             )
             if self.config.speculative_access and not for_write:
                 self._speculate(page, state, result)
@@ -465,7 +462,7 @@ class CompressedMemoryController:
             self.tracer.emit("metadata_writeback", page=page, extra=1)
             self._pending.append(
                 MemAccess(AccessKind.WRITE, AccessCategory.METADATA,
-                          self.memory.metadata_address(page), critical=False)
+                          self.geometry.metadata_address(page), critical=False)
             )
         # The evicted entry's local overflow counter is consulted before
         # it disappears: a page still streaming incompressible data must

@@ -35,20 +35,6 @@ class CacheEntry:
         return 1 if self.half else 2
 
 
-@dataclass
-class MetadataCacheStats:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    dirty_evictions: int = 0
-    half_entries_filled: int = 0
-
-    def hit_rate(self) -> Optional[float]:
-        """Hit rate, or ``None`` when the cache was never probed."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else None
-
-
 class MetadataCache:
     """Set-associative metadata cache, LRU within each set.
 
@@ -73,7 +59,6 @@ class MetadataCache:
         self.slots_per_set = assoc * 2  # capacity in 32 B sub-slots
         self.on_evict = on_evict
         self.tracer = tracer
-        self.stats = MetadataCacheStats()
         # Per set: OrderedDict page -> CacheEntry, LRU order (oldest first).
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.n_sets)]
 
@@ -85,10 +70,8 @@ class MetadataCache:
         entries = self._set_for(page)
         if page in entries:
             entries.move_to_end(page)
-            self.stats.hits += 1
             self.tracer.emit("mdcache_hit", page=page)
             return True
-        self.stats.misses += 1
         self.tracer.emit("mdcache_miss", page=page)
         return False
 
@@ -109,7 +92,6 @@ class MetadataCache:
             evictions += self._evict_lru(entries)
         entries[page] = new_entry
         if half:
-            self.stats.half_entries_filled += 1
             self.tracer.emit("mdcache_half_fill", page=page)
         return evictions
 
@@ -174,9 +156,6 @@ class MetadataCache:
         for page in entries:
             if page != skip:
                 entry = entries.pop(page)
-                self.stats.evictions += 1
-                if entry.dirty:
-                    self.stats.dirty_evictions += 1
                 self.tracer.emit("mdcache_evict", page=entry.page,
                                  dirty=entry.dirty)
                 if self.on_evict is not None:

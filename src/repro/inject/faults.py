@@ -190,7 +190,7 @@ class FaultInjector:
 
     def release_seized(self) -> int:
         """Give back everything ``alloc-exhaust`` faults seized."""
-        allocator = self.controller.memory.allocator
+        allocator = self.controller.allocator
         released = 0
         for group in self._seized:
             allocator.restore(group)
@@ -249,7 +249,7 @@ class FaultInjector:
         variants = ["size", "inflate"]
         if meta.compressed and state.layout is not None:
             variants.append("bin")
-        if not controller.memory.allocator.contiguous and meta.mpfns:
+        if not controller.allocator.contiguous and meta.mpfns:
             variants.append("mpfn")
         variant = self.rng.choice(variants)
         if variant == "size":
@@ -267,7 +267,7 @@ class FaultInjector:
             meta.line_bins[line] = (meta.line_bins[line] + shift) % n_bins
             return page, f"line {line} bin scrambled"
         mpfn_index = self.rng.randrange(len(meta.mpfns))
-        bogus = (controller.memory.allocator.total_chunks
+        bogus = (controller.allocator.total_chunks
                  + self.rng.randrange(8))
         meta.mpfns[mpfn_index] = bogus
         return page, f"MPFN {mpfn_index} scrambled to {bogus}"
@@ -286,7 +286,7 @@ class FaultInjector:
 
     def _inject_exhaust(self):
         """Seize the entire free pool (allocation-pressure fault)."""
-        allocator = self.controller.memory.allocator
+        allocator = self.controller.allocator
         free = allocator.free_chunks
         if not free:
             return None
@@ -296,7 +296,7 @@ class FaultInjector:
 
     def _inject_double_grant(self):
         """Re-list an allocated chunk/region as free (alloc-books)."""
-        allocator = self.controller.memory.allocator
+        allocator = self.controller.allocator
         owned = sorted(allocator.owned())
         kind = "region" if allocator.contiguous else "chunk"
         if not owned:

@@ -1,8 +1,14 @@
-"""Main-memory substrate: DDR4 timing, capacity accounting (DESIGN.md)."""
+"""Main-memory substrate: the one DDR4 channel, the MPA allocators and
+the geometry that places the metadata region above the data (DESIGN.md)."""
 
-from .allocator import ChunkAllocator, VariableAllocator
-from .dram import DDR4Channel, DRAMStats, DRAMSystem, DRAMTimings
-from .physical import MemoryGeometry, OutOfMemoryError, PhysicalMemory
+from .allocator import (
+    ChunkAllocator,
+    OutOfMemoryError,
+    VariableAllocator,
+    allocator_for,
+)
+from .dram import DRAMStats, DRAMSystem, DRAMTimings
+from .physical import MemoryGeometry
 from .request import AccessCategory, AccessKind, AccessResult, MemAccess
 
 __all__ = [
@@ -11,12 +17,11 @@ __all__ = [
     "VariableAllocator",
     "AccessKind",
     "AccessResult",
-    "DDR4Channel",
     "DRAMStats",
     "DRAMSystem",
     "DRAMTimings",
     "MemAccess",
     "MemoryGeometry",
     "OutOfMemoryError",
-    "PhysicalMemory",
+    "allocator_for",
 ]

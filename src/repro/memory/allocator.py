@@ -15,6 +15,7 @@ memory and share one interface, so the controller, the sanitizer and
 the fault injector never ask which scheme is in use.  A page's storage
 is its metadata's MPFN list: every chunk for :class:`ChunkAllocator`,
 the region's base chunk for :class:`VariableAllocator`.
+:func:`allocator_for` builds the one a scheme name selects.
 
 * ``resize(mpfns, current, chunks, relieve)`` grows or shrinks a page
   from ``current`` to ``chunks`` chunks and returns its new MPFN list;
@@ -434,3 +435,13 @@ class VariableAllocator:
                 kept.append(base)
             self._free_lists[order] = kept
         return repaired
+
+
+def allocator_for(allocation: str, memory_bytes: int):
+    """The allocator of a :class:`~repro.core.config.CompressoConfig`'s
+    ``allocation`` scheme: the one place that scheme is read."""
+    if allocation == "chunks":
+        return ChunkAllocator(memory_bytes)
+    if allocation == "variable":
+        return VariableAllocator(memory_bytes)
+    raise ValueError(f"unknown allocation scheme {allocation!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..machine import CPU_FREQ_GHZ, LINE_BYTES
+from ..machine import CPU_FREQ_GHZ
 from .request import AccessCategory, AccessKind, MemAccess
 
 
@@ -82,8 +82,8 @@ class DRAMStats:
         return self.row_hits / self.accesses if self.accesses else 0.0
 
 
-class DDR4Channel:
-    """One DDR4 channel: banks + shared data bus."""
+class DRAMSystem:
+    """The one DDR4 channel: banks + shared data bus."""
 
     #: Address mapping: banks interleave at 256-byte stripes (as real
     #: controllers do, so streams engage all banks in parallel); the row
@@ -91,19 +91,17 @@ class DDR4Channel:
     #: hit.
     ROW_BYTES = 8192
     BANK_STRIPE = 256
+    N_BANKS = 16
 
-    def __init__(self, timings: DRAMTimings = DRAMTimings(), n_banks: int = 16) -> None:
-        if n_banks <= 0 or n_banks & (n_banks - 1):
-            raise ValueError("n_banks must be a positive power of two")
+    def __init__(self, timings: DRAMTimings = DRAMTimings()) -> None:
         self.timings = timings
-        self.n_banks = n_banks
-        self.banks: List[_Bank] = [_Bank() for _ in range(n_banks)]
+        self.banks: List[_Bank] = [_Bank() for _ in range(self.N_BANKS)]
         self.bus_free_at = 0
         self.stats = DRAMStats()
 
     def _map(self, address: int):
         """Return (bank index, row index) for a byte address."""
-        bank = (address // self.BANK_STRIPE) % self.n_banks
+        bank = (address // self.BANK_STRIPE) % self.N_BANKS
         row = address // self.ROW_BYTES
         return bank, row
 
@@ -157,38 +155,3 @@ class DDR4Channel:
         self.stats.busy_cycles += t.burst_cycles
         self.stats.total_wait_cycles += completion - now
         return completion
-
-    def utilization(self, elapsed_cycles: int) -> float:
-        """Fraction of time the data bus was busy."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_cycles / elapsed_cycles)
-
-
-class DRAMSystem:
-    """One or more channels, selected by address interleaving."""
-
-    def __init__(self, n_channels: int = 1,
-                 timings: DRAMTimings = DRAMTimings(),
-                 n_banks: int = 16) -> None:
-        if n_channels <= 0:
-            raise ValueError("need at least one channel")
-        self.channels = [DDR4Channel(timings, n_banks) for _ in range(n_channels)]
-
-    def access(self, now: int, access: MemAccess) -> int:
-        channel = (access.address // LINE_BYTES) % len(self.channels)
-        return self.channels[channel].access(now, access)
-
-    @property
-    def stats(self) -> DRAMStats:
-        total = DRAMStats()
-        for channel in self.channels:
-            s = channel.stats
-            total.reads += s.reads
-            total.writes += s.writes
-            total.row_hits += s.row_hits
-            total.row_misses += s.row_misses
-            total.row_conflicts += s.row_conflicts
-            total.busy_cycles += s.busy_cycles
-            total.total_wait_cycles += s.total_wait_cycles
-        return total

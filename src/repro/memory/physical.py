@@ -1,19 +1,19 @@
-"""Machine-physical memory capacity accounting.
+"""Machine-physical memory geometry (paper §III).
 
 The controller models *where* data lives (chunk ids, offsets) rather
 than serializing compressed bit streams into a byte array — offsets and
 split behaviour depend only on the size bins, exactly as in the real
-hardware.  ``PhysicalMemory`` tracks installed capacity, the metadata
-region carved out of it, and occupancy, and raises the out-of-memory
-condition that drives the §V-B ballooning path.
+hardware.  ``MemoryGeometry`` lays out installed memory: the data
+region the controller's allocator manages, and the metadata region
+carved out above it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from ..machine import CHUNK_BYTES, METADATA_ENTRY_BYTES, PAGE_BYTES
-from .allocator import ChunkAllocator, OutOfMemoryError, VariableAllocator
+from ..machine import METADATA_ENTRY_BYTES, PAGE_BYTES
 
 
 @dataclass(frozen=True)
@@ -45,53 +45,20 @@ class MemoryGeometry:
     def metadata_overhead(self) -> float:
         return self.metadata_region_bytes / self.installed_bytes
 
-
-class PhysicalMemory:
-    """Chunked machine memory backing a compressed-memory controller."""
-
-    def __init__(self, geometry: MemoryGeometry,
-                 allocation: str = "chunks") -> None:
-        self.geometry = geometry
-        data_bytes = geometry.data_region_bytes
+    @cached_property
+    def data_bytes(self) -> int:
+        """The data region rounded down to whole pages (for the buddy
+        allocator's sake): what the controller's allocator manages."""
+        data_bytes = self.data_region_bytes
         if data_bytes <= 0:
             raise ValueError("metadata region exceeds installed memory")
-        # Round down to a whole number of max-size pages for the buddy
-        # allocator's sake.
-        data_bytes -= data_bytes % PAGE_BYTES
-        if allocation == "chunks":
-            self.allocator = ChunkAllocator(data_bytes)
-        elif allocation == "variable":
-            self.allocator = VariableAllocator(data_bytes)
-        else:
-            raise ValueError(f"unknown allocation scheme {allocation!r}")
-
-    @classmethod
-    def for_config(cls, geometry: MemoryGeometry, config) -> "PhysicalMemory":
-        """Memory laid out by a :class:`~repro.core.config.CompressoConfig`:
-        the one place its allocation scheme is read."""
-        return cls(geometry, config.allocation)
-
-    @property
-    def used_bytes(self) -> int:
-        return self.allocator.used_bytes
-
-    @property
-    def free_bytes(self) -> int:
-        return self.allocator.free_chunks * CHUNK_BYTES
+        return data_bytes - data_bytes % PAGE_BYTES
 
     def metadata_address(self, ospa_page: int) -> int:
         """MPA address of a page's metadata entry — a shift and add (§III).
 
         The metadata region sits above the data region in MPA space.
         """
-        if ospa_page < 0 or ospa_page >= self.geometry.ospa_pages:
+        if ospa_page < 0 or ospa_page >= self.ospa_pages:
             raise ValueError(f"OSPA page {ospa_page} out of range")
-        base = self.allocator.total_chunks * CHUNK_BYTES
-        return base + ospa_page * METADATA_ENTRY_BYTES
-
-
-__all__ = [
-    "MemoryGeometry",
-    "OutOfMemoryError",
-    "PhysicalMemory",
-]
+        return self.data_bytes + ospa_page * METADATA_ENTRY_BYTES

@@ -97,7 +97,6 @@ EVENT_SOURCES: Dict[str, Optional[str]] = {
     "tenant_page_out": None,           # per-tenant LRU page-out (escalation)
     "watchdog_escalation": None,       # degraded-mode dwell bound exceeded
     "pressure_oom_absorbed": None,     # OutOfMemoryError caught at this layer
-    "balloon_protect_skip": None,      # balloon held a protected page intact
 }
 
 

@@ -1,6 +1,6 @@
 """OS substrate: virtual memory, budgets, LRU paging (DESIGN.md)."""
 
-from .cgroups import DynamicBudget, ScaledBudget, StaticBudget
+from .cgroups import DynamicBudget, StaticBudget
 from .paging import (
     LRUPagingSimulator,
     PagingCostModel,
@@ -8,16 +8,14 @@ from .paging import (
     reference_string,
     run_capacity_simulation,
 )
-from .vm import VirtualMemory, VMStats
+from .vm import VirtualMemory
 
 __all__ = [
     "DynamicBudget",
     "LRUPagingSimulator",
     "PagingCostModel",
     "PagingStats",
-    "ScaledBudget",
     "StaticBudget",
-    "VMStats",
     "VirtualMemory",
     "reference_string",
     "run_capacity_simulation",

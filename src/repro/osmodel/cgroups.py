@@ -51,31 +51,3 @@ class DynamicBudget:
     def resident_limit(self, progress: float) -> int:
         return max(1, int(self.base_pages * self.ratio_at(progress)))
 
-
-class ScaledBudget:
-    """A base budget modulated by a factor timeline (overload control).
-
-    Unlike :class:`DynamicBudget`, the factors may drop *below* 1.0 —
-    this is how the pressure layer (repro.pressure, docs/PRESSURE.md)
-    squeezes a tenant's resident set mid-run: the base budget expresses
-    the tenant's entitlement, the factor timeline the share of it the
-    node can currently honour.  ``resident_limit`` never drops below
-    one page, so a throttled tenant can still make progress.
-    """
-
-    def __init__(self, base, factor_timeline: Sequence[float]) -> None:
-        if not factor_timeline:
-            raise ValueError("need at least one factor sample")
-        if any(f <= 0.0 for f in factor_timeline):
-            raise ValueError("scale factors must be positive")
-        self.base = base
-        self.timeline = list(factor_timeline)
-
-    def factor_at(self, progress: float) -> float:
-        progress = min(max(progress, 0.0), 1.0)
-        index = min(int(progress * len(self.timeline)), len(self.timeline) - 1)
-        return self.timeline[index]
-
-    def resident_limit(self, progress: float) -> int:
-        base_limit = self.base.resident_limit(progress)
-        return max(1, int(base_limit * self.factor_at(progress)))

@@ -9,16 +9,7 @@ cold pages via its regular paging mechanism.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-
-@dataclass
-class VMStats:
-    allocations: int = 0
-    frees: int = 0
-    balloon_takes: int = 0
-    cold_takes: int = 0
 
 
 class VirtualMemory:
@@ -31,7 +22,6 @@ class VirtualMemory:
         self._free: List[int] = list(range(total_pages - 1, -1, -1))
         # Allocated pages in LRU order (oldest touch first); value=dirty.
         self._allocated: OrderedDict = OrderedDict()
-        self.stats = VMStats()
 
     # -- normal OS operation ----------------------------------------------
 
@@ -41,7 +31,6 @@ class VirtualMemory:
             raise MemoryError("OSPA space exhausted")
         page = self._free.pop()
         self._allocated[page] = False
-        self.stats.allocations += 1
         return page
 
     def free_page(self, page: int) -> None:
@@ -49,7 +38,6 @@ class VirtualMemory:
             raise ValueError(f"page {page} is not allocated")
         del self._allocated[page]
         self._free.append(page)
-        self.stats.frees += 1
 
     def touch(self, page: int, dirty: bool = False) -> None:
         """Record an access: page becomes most-recently used."""
@@ -71,7 +59,6 @@ class VirtualMemory:
         """Balloon demand served from the free list (cheap)."""
         if not self._free:
             return None
-        self.stats.balloon_takes += 1
         return self._free.pop()
 
     def take_cold_page(self) -> Optional[Tuple[int, bool]]:
@@ -80,5 +67,4 @@ class VirtualMemory:
             return None
         page, dirty = next(iter(self._allocated.items()))
         del self._allocated[page]
-        self.stats.cold_takes += 1
         return page, dirty

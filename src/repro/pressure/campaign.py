@@ -179,7 +179,6 @@ def run_recovery_drill(pressure: PressureController,
             if vm is not None and vm.is_allocated(page):
                 vm.free_page(page)
     if pressure.balloon is not None:
-        pressure.balloon.unprotect()
         pressure.balloon.deflate()
     problems = pressure.controller.scrub()
     pressure.step(progress)

@@ -103,9 +103,8 @@ class TenantSpec:
     """One tenant: identity, entitlement, priority class.
 
     ``budget`` is any object with ``resident_limit(progress) -> int``
-    (:class:`~repro.osmodel.cgroups.StaticBudget`,
-    :class:`~repro.osmodel.cgroups.DynamicBudget` or
-    :class:`~repro.osmodel.cgroups.ScaledBudget`).
+    (:class:`~repro.osmodel.cgroups.StaticBudget` or
+    :class:`~repro.osmodel.cgroups.DynamicBudget`).
     """
 
     name: str
@@ -419,7 +418,7 @@ class PressureController:
 
     def utilization(self) -> float:
         """Fraction of machine-memory data chunks currently allocated."""
-        allocator = self.controller.memory.allocator
+        allocator = self.controller.allocator
         total = allocator.total_chunks
         if not total:
             return 0.0

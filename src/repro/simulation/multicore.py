@@ -21,12 +21,11 @@ from typing import List, Optional
 import numpy as np
 
 from ..cpu.core import AnalyticCore
-from ..memory.dram import DRAMStats, DRAMSystem, DRAMTimings
+from ..memory.dram import DRAMStats, DRAMSystem
 from ..obs import NULL_TRACER
 from ..workloads.profiles import BenchmarkProfile
 from ..workloads.tracegen import TraceGenerator, Workload
 from .simulator import (
-    DRAM_CHANNELS,
     RATIO_SAMPLES,
     EventEngine,
     SimulationConfig,
@@ -104,7 +103,7 @@ def simulate_multicore(profiles: List[BenchmarkProfile], system: str,
                     controller.install_page(offset + page,
                                             workload.page_lines(page))
 
-    dram = DRAMSystem(n_channels=DRAM_CHANNELS, timings=DRAMTimings())
+    dram = DRAMSystem()
     cores = [AnalyticCore(mlp=profile.mlp, cpi=profile.base_cpi)
              for profile in profiles]
     engines = []

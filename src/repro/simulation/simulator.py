@@ -26,7 +26,7 @@ from ..machine import (
     OS_PAGE_FAULT_CYCLES,
     PAGE_BYTES,
 )
-from ..memory.dram import DRAMStats, DRAMSystem, DRAMTimings
+from ..memory.dram import DRAMStats, DRAMSystem
 from ..memory.physical import MemoryGeometry
 from ..memory.request import AccessCategory, AccessKind, AccessResult, MemAccess
 from ..obs import NULL_TRACER, timeline_digest
@@ -36,8 +36,6 @@ from .configs import system_config
 
 #: Samples in the compression-ratio timeline.
 RATIO_SAMPLES = 20
-#: DRAM channels in the timing model.
-DRAM_CHANNELS = 1
 #: Fraction of a *sequential* demand read's latency hidden by the
 #: core's stream prefetcher (all systems benefit equally); without
 #: it, an analytic core overstates how memory-latency-bound
@@ -261,7 +259,7 @@ def simulate(profile: BenchmarkProfile, system: str,
                 controller.install_page(page, workload.page_lines(page))
 
     core = AnalyticCore(mlp=profile.mlp, cpi=profile.base_cpi)
-    dram = DRAMSystem(n_channels=DRAM_CHANNELS, timings=DRAMTimings())
+    dram = DRAMSystem()
     trace = TraceGenerator(workload, seed=sim.seed)
     engine = EventEngine(controller, dram, core, workload, trace, sim,
                          injector=injector)

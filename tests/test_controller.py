@@ -91,7 +91,7 @@ class TestZeroHandling:
         result = ctrl.write_line(3, 5, bytes(64))
         assert result.served_by_metadata
         assert ctrl.stats.zero_line_writes == 1
-        assert ctrl.used_bytes() == 0  # page stays unmapped
+        assert ctrl.allocator.used_bytes == 0  # page stays unmapped
 
     def test_zero_read_costs_nothing(self):
         ctrl = make_controller()
@@ -102,12 +102,12 @@ class TestZeroHandling:
         ctrl = make_controller()
         for line in range(64):
             ctrl.write_line(9, line, bytes(64))
-        assert ctrl.used_bytes() == 0
+        assert ctrl.allocator.used_bytes == 0
 
     def test_first_nonzero_write_allocates_min_512(self):
         ctrl = make_controller()
         ctrl.write_line(0, 0, int_line(1))
-        assert ctrl.used_bytes() == 512
+        assert ctrl.allocator.used_bytes == 512
 
 
 class TestCompressionRatio:
@@ -142,7 +142,7 @@ class TestInstallPage:
     def test_install_zero_page_stays_unmapped(self):
         ctrl = make_controller()
         ctrl.install_page(11, [bytes(64)] * 64)
-        assert ctrl.used_bytes() == 0
+        assert ctrl.allocator.used_bytes == 0
 
     def test_double_install_rejected(self):
         ctrl = make_controller()
@@ -356,7 +356,7 @@ class TestConservation:
             else:
                 ctrl.write_line(page, line, random_line(rng.randrange(1000)))
         ctrl.flush_metadata()
-        allocator = ctrl.memory.allocator
+        allocator = ctrl.allocator
         assert allocator.used_chunks + allocator.free_chunks == allocator.total_chunks
         expected = sum(
             state.meta.size_chunks for state in ctrl.pages.values()
@@ -432,9 +432,9 @@ class TestFreePage:
     def test_free_releases_storage(self):
         ctrl = make_controller()
         ctrl.install_page(3, [random_line(i) for i in range(64)])
-        assert ctrl.used_bytes() > 0
+        assert ctrl.allocator.used_bytes > 0
         ctrl.free_page(3)
-        assert ctrl.used_bytes() == 0
+        assert ctrl.allocator.used_bytes == 0
         assert ctrl.read_line(3, 0).data == bytes(64)
 
 
@@ -444,7 +444,7 @@ class TestVariableAllocation:
                                   enable_overflow_prediction=False)
         geometry = MemoryGeometry(installed_bytes=32 * 1024 * 1024)
         ctrl = CompressedMemoryController(config, geometry, sanitize="strict")
-        allocator = ctrl.memory.allocator
+        allocator = ctrl.allocator
         ctrl.write_line(3, 0, int_line(1))
         meta = ctrl.pages[3].meta
         old_mpfns, old_chunks = list(meta.mpfns), meta.size_chunks

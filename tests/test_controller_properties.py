@@ -87,7 +87,7 @@ def test_structural_invariants_hold(ops):
     run_ops(controller, ops, {})
     controller.flush_metadata()
 
-    allocator = controller.memory.allocator
+    allocator = controller.allocator
     assert (allocator.used_chunks + allocator.free_chunks
             == allocator.total_chunks)
     sanitizer = MemorySanitizer(controller.config, raise_on_violation=True)
@@ -148,6 +148,6 @@ def test_degraded_mode_always_exits_once_headroom_returns(salt, survivors):
     assert not controller.degraded_mode
     assert controller.stats.degraded_exits >= 1
     assert controller.scrub() == 0
-    allocator = controller.memory.allocator
+    allocator = controller.allocator
     assert (allocator.used_chunks + allocator.free_chunks
             == allocator.total_chunks)

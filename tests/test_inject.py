@@ -127,7 +127,7 @@ class TestStrictDetection:
         controller = _populate(_controller(sanitize="strict"))
         record = _injector(controller, "alloc-exhaust").inject("alloc-exhaust")
         assert record.page is None
-        assert controller.memory.allocator.free_chunks == 0
+        assert controller.allocator.free_chunks == 0
 
     def test_variable_allocation_detects_too(self):
         controller = _populate(_controller(config=lcp_config(),
@@ -238,10 +238,10 @@ class TestExhaustionDegradedMode:
         controller = _populate(_controller(sanitize=False))
         injector = _injector(controller, "alloc-exhaust")
         injector.inject("alloc-exhaust")
-        assert controller.memory.allocator.free_chunks == 0
+        assert controller.allocator.free_chunks == 0
         released = injector.release_seized()
         assert released > 0
-        assert controller.memory.allocator.free_chunks == released
+        assert controller.allocator.free_chunks == released
 
 
 # ---------------------------------------------------------------------------

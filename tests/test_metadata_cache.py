@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core.metadata_cache import MetadataCache
+from repro.obs import Tracer
 
 
 def small_cache(**kwargs) -> MetadataCache:
     """2 sets x 4 ways, so eviction behaviour is easy to provoke."""
-    defaults = dict(capacity_bytes=2 * 4 * 64, assoc=4, half_entries=True)
+    defaults = dict(capacity_bytes=2 * 4 * 64, assoc=4, half_entries=True,
+                    tracer=Tracer())
     defaults.update(kwargs)
     return MetadataCache(**defaults)
 
@@ -17,8 +19,9 @@ class TestBasics:
         cache = small_cache()
         assert not cache.access(10)
         assert cache.access(10)
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        counts = cache.tracer.counts()
+        assert counts["mdcache_hit"] == 1
+        assert counts["mdcache_miss"] == 1
 
     def test_capacity_shape(self):
         cache = MetadataCache(96 * 1024, 8)
@@ -66,7 +69,8 @@ class TestDirtyTracking:
         for page in (2, 4, 6, 8):
             cache.access(page)
         assert (0, True) in dirty_evictions
-        assert cache.stats.dirty_evictions == 1
+        assert [e.args["dirty"] for e in cache.tracer.events
+                if e.name == "mdcache_evict"].count(True) == 1
 
     def test_mark_dirty(self):
         cache = small_cache()
@@ -125,6 +129,6 @@ class TestHalfEntries:
         # Fill the set with half entries: only 6 more fit (2+6*1=8).
         for page in (2, 4, 6, 8, 10, 12):
             cache.access(page, half=True)
-        assert cache.stats.evictions == 0
+        assert "mdcache_evict" not in cache.tracer.counts()
         cache.access(14, half=True)
-        assert cache.stats.evictions == 1
+        assert cache.tracer.counts()["mdcache_evict"] == 1

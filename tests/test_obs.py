@@ -27,7 +27,6 @@ from repro.obs import (
     timeline_csv,
     timeline_digest,
 )
-from repro.runner import RunJournal, Runner, read_journal
 from repro.simulation.simulator import SimulationConfig, simulate
 from repro.workloads.profiles import PROFILES
 
@@ -289,33 +288,11 @@ class TestTraceCli:
         assert data["traceEvents"]
         assert csv.read_text().startswith("window,start_clock")
 
-    def test_run_command_journals_timeline(self, tmp_path):
+    def test_run_command_journals_timeline(self, cycle_based_unit_ends):
         """``trace_window`` puts a timeline on the ``unit_end`` of every
-        cycle-based unit, and it reconciles with the unit's stats."""
-        from repro.analysis.experiments import (
-            ExperimentScale,
-            run_ablation_design_space,
-            run_fig4,
-            run_fig6,
-            run_fig7,
-            run_fig10,
-            run_fig11,
-            run_fig12,
-            run_tab2,
-        )
-
-        scale = ExperimentScale(
-            n_events=200, scale=0.004, capacity_touches=600,
-            capacity_footprint_cap=30, fig2_pages=4, benchmarks=("gcc",),
-            mixes=("mix6",), trace_window=100)
-        journal = RunJournal(tmp_path / "runs.jsonl")
-        runner = Runner(journal=journal)
-        cycle_based = (run_fig4, run_fig6, run_fig7, run_fig10, run_fig11,
-                       run_fig12, run_tab2, run_ablation_design_space)
-        for run in cycle_based:
-            run(scale, runner=runner)
-        ends = [record for record in read_journal(journal.path)
-                if record["event"] == "unit_end"]
+        cycle-based unit, and it reconciles with the unit's stats.  The
+        sweep is shared with test_sanitizer.py (tests/conftest.py)."""
+        ends = cycle_based_unit_ends
         assert {record["experiment"] for record in ends} == {
             "fig4", "fig6", "fig7", "fig10", "fig11", "fig12", "tab2",
             "ablation"}

@@ -1,8 +1,9 @@
-"""Tests for machine-memory geometry and capacity accounting."""
+"""Tests for machine-memory geometry and the allocator it sizes."""
 
 import pytest
 
-from repro.memory.physical import MemoryGeometry, PhysicalMemory
+from repro.memory.allocator import ChunkAllocator, VariableAllocator, allocator_for
+from repro.memory.physical import MemoryGeometry
 
 
 class TestGeometry:
@@ -23,40 +24,43 @@ class TestGeometry:
         geo = MemoryGeometry(installed_bytes=1 << 30)
         assert geo.data_region_bytes < geo.installed_bytes
 
-
-class TestPhysicalMemory:
     def test_metadata_addresses_above_data(self):
-        memory = PhysicalMemory(MemoryGeometry(64 << 20))
-        data_top = memory.allocator.total_chunks * 512
-        assert memory.metadata_address(0) == data_top
-        assert memory.metadata_address(1) == data_top + 64
+        geo = MemoryGeometry(64 << 20)
+        data_top = allocator_for("chunks", geo.data_bytes).total_chunks * 512
+        assert geo.metadata_address(0) == data_top
+        assert geo.metadata_address(1) == data_top + 64
 
     def test_metadata_address_bounds(self):
-        memory = PhysicalMemory(MemoryGeometry(64 << 20))
+        geo = MemoryGeometry(64 << 20)
         with pytest.raises(ValueError):
-            memory.metadata_address(-1)
+            geo.metadata_address(-1)
         with pytest.raises(ValueError):
-            memory.metadata_address(10**9)
-
-    def test_utilization_tracks_allocation(self):
-        memory = PhysicalMemory(MemoryGeometry(64 << 20))
-        total = memory.free_bytes
-        assert memory.used_bytes == 0
-        memory.allocator.allocate(100)
-        assert memory.used_bytes == 100 * 512
-        assert memory.free_bytes == total - 100 * 512
-
-    def test_variable_allocation_backend(self):
-        memory = PhysicalMemory(MemoryGeometry(64 << 20),
-                                allocation="variable")
-        base = memory.allocator.allocate_region(2048)
-        assert memory.used_bytes == 2048
-
-    def test_unknown_allocation_rejected(self):
-        with pytest.raises(ValueError):
-            PhysicalMemory(MemoryGeometry(64 << 20), allocation="slab")
+            geo.metadata_address(10**9)
 
     def test_metadata_cannot_eat_all_memory(self):
-        with pytest.raises(ValueError):
-            # Absurd advertised ratio: metadata region exceeds installed.
-            PhysicalMemory(MemoryGeometry(1 << 20, advertised_ratio=100.0))
+        # Absurd advertised ratio: metadata region exceeds installed.
+        geo = MemoryGeometry(1 << 20, advertised_ratio=100.0)
+        with pytest.raises(ValueError, match="exceeds installed memory"):
+            geo.data_bytes
+
+
+class TestAllocatorFor:
+    def test_utilization_tracks_allocation(self):
+        allocator = allocator_for("chunks", MemoryGeometry(64 << 20).data_bytes)
+        assert isinstance(allocator, ChunkAllocator)
+        total = allocator.free_chunks
+        assert allocator.used_bytes == 0
+        allocator.allocate(100)
+        assert allocator.used_bytes == 100 * 512
+        assert allocator.free_chunks == total - 100
+
+    def test_variable_allocation_backend(self):
+        allocator = allocator_for("variable",
+                                  MemoryGeometry(64 << 20).data_bytes)
+        assert isinstance(allocator, VariableAllocator)
+        allocator.allocate_region(2048)
+        assert allocator.used_bytes == 2048
+
+    def test_unknown_allocation_rejected(self):
+        with pytest.raises(ValueError, match="unknown allocation scheme"):
+            allocator_for("slab", MemoryGeometry(64 << 20).data_bytes)

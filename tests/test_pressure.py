@@ -9,19 +9,13 @@ escaped OOMs, zero unreconciled transitions, every cell recovers.
 
 import pytest
 
-from repro.core import (
-    BalloonDriver,
-    CompressedMemoryController,
-    FreeListOSModel,
-    compresso_config,
-)
+from repro.core import CompressedMemoryController, compresso_config
 from repro.machine import LINE_BYTES, LINES_PER_PAGE
 from repro.memory import MemoryGeometry
 from repro.memory.allocator import OutOfMemoryError
 from repro.obs import Tracer
 from repro.osmodel import (
     LRUPagingSimulator,
-    ScaledBudget,
     StaticBudget,
     VirtualMemory,
 )
@@ -148,20 +142,6 @@ class TestValidation:
         pressure, _, _ = small_node()
         with pytest.raises(KeyError, match="unknown tenant"):
             pressure.write("nobody", 0, 0, bytes(64))
-
-
-class TestScaledBudget:
-    def test_factors_squeeze_below_base(self):
-        budget = ScaledBudget(StaticBudget(10), [1.0, 0.5, 0.1])
-        assert budget.resident_limit(0.0) == 10
-        assert budget.resident_limit(0.5) == 5
-        assert budget.resident_limit(1.0) == 1   # floor: always >= 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScaledBudget(StaticBudget(10), [])
-        with pytest.raises(ValueError):
-            ScaledBudget(StaticBudget(10), [0.5, 0.0])
 
 
 class TestPagingEscalationAPI:
@@ -335,40 +315,6 @@ class TestWatchdog:
         pressure.step()
         assert pressure.stats.escalations == 0
         assert "watchdog_escalation" not in tracer.counts()
-
-
-# ---------------------------------------------------------------------------
-# balloon protection (pressure shields tenants from reclaim)
-# ---------------------------------------------------------------------------
-
-class TestBalloonProtection:
-    def test_protected_page_survives_reclaim(self):
-        tracer = Tracer()
-        geometry = MemoryGeometry(installed_bytes=2 * 1024 * 1024,
-                                  advertised_ratio=4.0)
-        ctrl = CompressedMemoryController(compresso_config(), geometry,
-                                          tracer=tracer)
-        # Page 12 last, so neither cold page is the controller's
-        # in-flight ``_active_page`` (those are held untouched).
-        for page in (10, 11, 12):
-            for line in range(64):
-                ctrl.write_line(page, line,
-                                incompressible(page * 64 + line))
-        balloon = BalloonDriver(
-            ctrl, FreeListOSModel([], [(10, False), (11, False)]),
-            safety_chunks=0)
-        balloon.protect([10])
-        assert balloon.protected_pages == 1
-        balloon.relieve(1)
-        assert balloon.stats.pages_protected == 1
-        assert 10 in ctrl.pages                  # shielded
-        assert 11 not in ctrl.pages              # reclaimed instead
-        skips = [e for e in tracer.events
-                 if e.name == "balloon_protect_skip"]
-        assert [e.page for e in skips] == [10]
-        assert balloon.held_pages == 2           # both held for the OS
-        balloon.unprotect()
-        assert balloon.protected_pages == 0
 
 
 # ---------------------------------------------------------------------------

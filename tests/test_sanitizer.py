@@ -11,23 +11,11 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.experiments import (
-    ExperimentScale,
-    run_ablation_design_space,
-    run_fig4,
-    run_fig6,
-    run_fig7,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_tab2,
-)
 from repro.check import MemorySanitizer, SanitizerError
 from repro.core.config import compresso_config, lcp_config
 from repro.core.controller import CompressedMemoryController
 from repro.memory.physical import MemoryGeometry
 from repro.obs import Tracer
-from repro.runner import Runner, RunJournal, read_journal
 from repro.simulation.simulator import SimulationConfig, simulate
 from repro.workloads.profiles import PROFILES
 
@@ -104,7 +92,7 @@ def test_double_freed_chunk_is_caught():
     controller.install_page(0, _page_lines())
     state = controller.pages[0]
     # free one of the page's chunks behind the controller's back
-    controller.memory.allocator.free([state.meta.mpfns[0]])
+    controller.allocator.free([state.meta.mpfns[0]])
     controller.sanitizer.check_all(controller)
     assert "alloc-double-free" in _invariants(controller)
 
@@ -112,7 +100,7 @@ def test_double_freed_chunk_is_caught():
 def test_leaked_chunks_are_caught():
     controller = _controller()
     controller.install_page(0, _page_lines())
-    controller.memory.allocator.allocate(2)   # no page references these
+    controller.allocator.allocate(2)   # no page references these
     controller.sanitizer.check_all(controller)
     assert "alloc-leak" in _invariants(controller)
 
@@ -177,9 +165,9 @@ def test_allocator_refuses_direct_double_free():
     controller = _controller()
     controller.install_page(0, _page_lines())
     chunk = controller.pages[0].meta.mpfns[0]
-    controller.memory.allocator.free([chunk])
+    controller.allocator.free([chunk])
     with pytest.raises(ValueError):
-        controller.memory.allocator.free([chunk])
+        controller.allocator.free([chunk])
 
 
 def test_raise_on_violation_fails_fast():
@@ -227,22 +215,12 @@ def test_unsanitized_simulation_reports_none():
     assert result.sanitizer_violations is None
 
 
-def test_every_cycle_based_unit_journals_sanitizer_counts(tmp_path):
+def test_every_cycle_based_unit_journals_sanitizer_counts(
+        cycle_based_unit_ends):
     """``run --sanitize`` puts a ``sanitizer`` block on the ``unit_end``
     of every cycle-based unit (docs/LINTING.md), fig11's 4-core units
-    included."""
-    scale = ExperimentScale(n_events=200, scale=0.004, capacity_touches=600,
-                            capacity_footprint_cap=30, fig2_pages=4,
-                            benchmarks=("gcc",), mixes=("mix6",),
-                            sanitize=True)
-    path = tmp_path / "runs.jsonl"
-    runner = Runner(journal=RunJournal(path))
-    cycle_based = (run_fig4, run_fig6, run_fig7, run_fig10, run_fig11,
-                   run_fig12, run_tab2, run_ablation_design_space)
-    for run in cycle_based:
-        run(scale, runner=runner)
-    ends = [event for event in read_journal(path)
-            if event["event"] == "unit_end"]
+    included.  The sweep is shared with test_obs.py (tests/conftest.py)."""
+    ends = cycle_based_unit_ends
     assert {event["experiment"] for event in ends} == {
         "fig4", "fig6", "fig7", "fig10", "fig11", "fig12", "tab2",
         "ablation"}
